@@ -1,9 +1,9 @@
-"""Immutable 0/1 matrices with permutation and block-partition operations."""
+"""Immutable 0/1 matrices with permutation operations and `.inc` text io."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class FormatError(ValueError):
@@ -145,85 +145,6 @@ def permute(m: BinaryMatrix, row_perm: Permutation, col_perm: Permutation) -> Bi
         for j in range(m.cols):
             out[dst + col_perm(j)] = m.data[src + j]
     return BinaryMatrix(m.rows, m.cols, tuple(out))
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Boundary cuts slicing a matrix into a contiguous grid of blocks.
-
-    Each cut list records every boundary including 0 and the full extent,
-    so (0, 3, 5) splits five indices into blocks 0..2 and 3..4.
-    """
-
-    row_cuts: tuple[int, ...]
-    col_cuts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name, cuts in (("row_cuts", self.row_cuts), ("col_cuts", self.col_cuts)):
-            if len(cuts) < 2 or cuts[0] != 0:
-                raise ValueError(f"{name} must start at 0 and contain a final extent, got {cuts!r}")
-            if any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise ValueError(f"{name} must be strictly increasing, got {cuts!r}")
-
-    @classmethod
-    def from_sizes(cls, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> BlockPartition:
-        def cuts(sizes: Sequence[int]) -> tuple[int, ...]:
-            acc = [0]
-            for s in sizes:
-                acc.append(acc[-1] + s)
-            return tuple(acc)
-
-        return cls(cuts(row_sizes), cuts(col_sizes))
-
-    @property
-    def row_blocks(self) -> int:
-        return len(self.row_cuts) - 1
-
-    @property
-    def col_blocks(self) -> int:
-        return len(self.col_cuts) - 1
-
-    def row_span(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.row_blocks:
-            raise IndexError(f"row block {i} outside 0..{self.row_blocks - 1}")
-        return self.row_cuts[i], self.row_cuts[i + 1]
-
-    def col_span(self, j: int) -> tuple[int, int]:
-        if not 0 <= j < self.col_blocks:
-            raise IndexError(f"column block {j} outside 0..{self.col_blocks - 1}")
-        return self.col_cuts[j], self.col_cuts[j + 1]
-
-
-def block(m: BinaryMatrix, p: BlockPartition, i: int, j: int) -> BinaryMatrix:
-    """Extract block (i, j) of m under partition p."""
-    if p.row_cuts[-1] != m.rows or p.col_cuts[-1] != m.cols:
-        raise ValueError(
-            f"partition extent {p.row_cuts[-1]}x{p.col_cuts[-1]} does not cover matrix {m.rows}x{m.cols}"
-        )
-    r0, r1 = p.row_span(i)
-    c0, c1 = p.col_span(j)
-    data = tuple(m.data[r * m.cols + c] for r in range(r0, r1) for c in range(c0, c1))
-    return BinaryMatrix(r1 - r0, c1 - c0, data)
-
-
-def assemble(grid: Sequence[Sequence[BinaryMatrix]]) -> BinaryMatrix:
-    """Glue a grid of blocks back into one matrix."""
-    if not grid or any(not band for band in grid):
-        raise ValueError("grid must contain at least one block")
-    widths = [b.cols for b in grid[0]]
-    out_rows: list[tuple[int, ...]] = []
-    for band in grid:
-        if [b.cols for b in band] != widths:
-            raise ValueError("column widths differ between block rows")
-        height = band[0].rows
-        if any(b.rows != height for b in band):
-            raise ValueError("blocks in one band must share a height")
-        for r in range(height):
-            parts: list[int] = []
-            for b in band:
-                parts.extend(b.row(r))
-            out_rows.append(tuple(parts))
-    return BinaryMatrix.from_rows(out_rows)
 
 
 def is_permutation_matrix(m: BinaryMatrix) -> bool:

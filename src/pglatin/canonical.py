@@ -30,15 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binmat import (
-    BinaryMatrix,
-    BlockPartition,
-    Permutation,
-    assemble,
-    block,
-    is_permutation_matrix,
-    permute,
-)
+from .binmat import BinaryMatrix, Permutation, permute
 from .geometry import plane_check
 from .latin import LatinSquare, MplsSet, verify_mpls
 from .planes import geometry_from_incidence
@@ -46,25 +38,24 @@ from .planes import geometry_from_incidence
 
 @dataclass(frozen=True)
 class BlockForm:
-    """A canonical matrix plus the partition and permutations that made it."""
+    """A canonical matrix plus the permutations that made it."""
 
     matrix: BinaryMatrix
     order: int
-    partition: BlockPartition
     row_perm: Permutation
     col_perm: Permutation
-
-    def block(self, i: int, j: int) -> BinaryMatrix:
-        return block(self.matrix, self.partition, i, j)
 
     @property
     def side(self) -> int:
         return self.matrix.rows
 
 
-def _block_partition(order: int) -> BlockPartition:
-    sizes = [order + 1] + [order] * order
-    return BlockPartition.from_sizes(sizes, sizes)
+def _span(i: int, k: int) -> tuple[int, int]:
+    """Start and stop of block i along either axis of the order-k layout."""
+    if i == 0:
+        return 0, k + 1
+    start = k + 1 + (i - 1) * k
+    return start, start + k
 
 
 def canonicalize(m: BinaryMatrix) -> BlockForm:
@@ -105,10 +96,10 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     # inner identity normalization: first reorder each inner column block so
     # the block in the first inner row becomes the identity, then reorder the
     # rows of the later inner row blocks against the first inner column block
-    first_inner_rows = row_order[k + 1 : 2 * k + 1]
+    first_inner_rows = row_order[slice(*_span(1, k))]
     for j in range(1, k + 1):
-        start = k + 1 + (j - 1) * k
-        segment = col_order[start : start + k]
+        start, stop = _span(j, k)
+        segment = col_order[start:stop]
         seg_set = set(segment)
         new_segment: list[int | None] = [None] * k
         for local, r in enumerate(first_inner_rows):
@@ -116,18 +107,18 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
             if len(hits) != 1:
                 raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
             new_segment[local] = hits.pop()
-        col_order[start : start + k] = new_segment  # type: ignore[assignment]
-    first_inner_cols = col_order[k + 1 : 2 * k + 1]
+        col_order[start:stop] = new_segment  # type: ignore[assignment]
+    first_inner_cols = col_order[slice(*_span(1, k))]
     for i in range(2, k + 1):
-        start = k + 1 + (i - 1) * k
-        segment = row_order[start : start + k]
+        start, stop = _span(i, k)
+        segment = row_order[start:stop]
         new_rows: list[int | None] = [None] * k
         for r in segment:
             hits = [local for local, c in enumerate(first_inner_cols) if c in line_sets[r]]
             if len(hits) != 1 or new_rows[hits[0]] is not None:
                 raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
             new_rows[hits[0]] = r
-        row_order[start : start + k] = new_rows  # type: ignore[assignment]
+        row_order[start:stop] = new_rows  # type: ignore[assignment]
 
     row_images = [0] * n
     for position, original in enumerate(row_order):
@@ -137,7 +128,7 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
         col_images[original] = position
     row_perm = Permutation(tuple(row_images))
     col_perm = Permutation(tuple(col_images))
-    form = BlockForm(permute(m, row_perm, col_perm), k, _block_partition(k), row_perm, col_perm)
+    form = BlockForm(permute(m, row_perm, col_perm), k, row_perm, col_perm)
     report = verify_block_form(form)
     if not report.ok:
         raise RuntimeError(f"canonicalization produced an invalid block form: {report.first}")
@@ -157,6 +148,15 @@ class BlockFormReport:
         return self.violations[0] if self.violations else None
 
 
+def _miscovered(blocks: list[tuple[tuple[int, ...], ...]]) -> tuple[int, int, int] | None:
+    """The first cell (r, c, total) that the blocks together do not cover exactly once."""
+    for r, block_rows in enumerate(zip(*blocks)):
+        for c, total in enumerate(map(sum, zip(*block_rows))):
+            if total != 1:
+                return r, c, total
+    return None
+
+
 def verify_block_form(bf: BlockForm) -> BlockFormReport:
     """Check every structural rule of the canonical layout and list failures."""
     problems: list[str] = []
@@ -164,31 +164,26 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
     n = k * k + k + 1
     if bf.matrix.rows != n or bf.matrix.cols != n:
         return BlockFormReport((f"matrix is {bf.matrix.rows}x{bf.matrix.cols}, expected {n}x{n}",))
-    expected_cuts = _block_partition(k)
-    if bf.partition != expected_cuts:
-        return BlockFormReport(("partition does not match the (n+1, n, ..., n) layout",))
+    data = bf.matrix.data
 
-    corner = bf.block(0, 0)
-    corner_want = tuple(
-        1 if (r == 0 or c == 0) else 0 for r in range(k + 1) for c in range(k + 1)
-    )
-    if corner.data != corner_want:
+    def cut(i: int, j: int) -> tuple[tuple[int, ...], ...]:
+        r0, r1 = _span(i, k)
+        c0, c1 = _span(j, k)
+        return tuple(data[r * n + c0 : r * n + c1] for r in range(r0, r1))
+
+    if cut(0, 0) != ((1,) * (k + 1),) + ((1,) + (0,) * k,) * k:
         problems.append("corner block must have ones exactly in its first row and first column")
     for j in range(1, k + 1):
-        top = bf.block(0, j)
-        want = tuple(1 if r == j else 0 for r in range(k + 1) for _ in range(k))
-        if top.data != want:
+        if cut(0, j) != tuple((1 if r == j else 0,) * k for r in range(k + 1)):
             problems.append(f"top block {j} must have ones exactly in row {j}")
     for i in range(1, k + 1):
-        left = bf.block(i, 0)
-        want = tuple(1 if c == i else 0 for _ in range(k) for c in range(k + 1))
-        if left.data != want:
+        if cut(i, 0) != (tuple(1 if c == i else 0 for c in range(k + 1)),) * k:
             problems.append(f"left block {i} must have ones exactly in column {i}")
 
-    inner = {(i, j): bf.block(i, j) for i in range(1, k + 1) for j in range(1, k + 1)}
-    identity = BinaryMatrix.identity(k)
+    inner = {(i, j): cut(i, j) for i in range(1, k + 1) for j in range(1, k + 1)}
+    identity = tuple(tuple(1 if c == r else 0 for c in range(k)) for r in range(k))
     for (i, j), blk in inner.items():
-        if not is_permutation_matrix(blk):
+        if any(sum(line) != 1 for line in blk + tuple(zip(*blk))):
             problems.append(f"inner block ({i}, {j}) is not a permutation matrix")
     for j in range(1, k + 1):
         if inner[(1, j)] != identity:
@@ -198,23 +193,13 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
             problems.append(f"inner block ({i}, 1) must be the identity")
 
     for i in range(2, k + 1):
-        for idx in range(k * k):
-            total = sum(inner[(i, j)].data[idx] for j in range(1, k + 1))
-            if total != 1:
-                r, c = divmod(idx, k)
-                problems.append(
-                    f"inner block row {i} covers cell ({r}, {c}) {total} times, expected once"
-                )
-                break
+        bad = _miscovered([inner[(i, j)] for j in range(1, k + 1)])
+        if bad:
+            problems.append(f"inner block row {i} covers cell ({bad[0]}, {bad[1]}) {bad[2]} times, expected once")
     for j in range(2, k + 1):
-        for idx in range(k * k):
-            total = sum(inner[(i, j)].data[idx] for i in range(1, k + 1))
-            if total != 1:
-                r, c = divmod(idx, k)
-                problems.append(
-                    f"inner block column {j} covers cell ({r}, {c}) {total} times, expected once"
-                )
-                break
+        bad = _miscovered([inner[(i, j)] for i in range(1, k + 1)])
+        if bad:
+            problems.append(f"inner block column {j} covers cell ({bad[0]}, {bad[1]}) {bad[2]} times, expected once")
     return BlockFormReport(tuple(problems))
 
 
@@ -233,12 +218,13 @@ def extract_mpls(bf: BlockForm) -> MplsSet:
     squares = []
     for i in range(2, k + 1):
         cells = [[0] * k for _ in range(k)]
-        for j in range(1, k + 1):
-            blk = bf.block(i, j)
-            for idx, value in enumerate(blk.data):
-                if value:
-                    r, c = divmod(idx, k)
-                    cells[r][c] = j
+        for r in range(k):
+            row = bf.matrix.row(_span(i, k)[0] + r)
+            for j in range(1, k + 1):
+                c0, c1 = _span(j, k)
+                for c, value in enumerate(row[c0:c1]):
+                    if value:
+                        cells[r][c] = j
         squares.append(LatinSquare.from_rows(cells))
     return MplsSet(k, tuple(squares))
 
@@ -255,27 +241,25 @@ def reconstruct(s: MplsSet) -> BinaryMatrix:
         detail = report.violations[0] if report.violations else f"{len(s.squares)} squares, need {s.order - 1}"
         raise ValueError(f"reconstruction needs a complete set: {detail}")
     k = s.order
-    corner = BinaryMatrix.from_rows(
-        [[1] * (k + 1)] + [[1] + [0] * k for _ in range(k)]
-    )
-    top = [
-        BinaryMatrix(k + 1, k, tuple(1 if r == j else 0 for r in range(k + 1) for _ in range(k)))
-        for j in range(1, k + 1)
-    ]
-    left = [
-        BinaryMatrix(k, k + 1, tuple(1 if c == i else 0 for _ in range(k) for c in range(k + 1)))
-        for i in range(1, k + 1)
-    ]
-    identity = BinaryMatrix.identity(k)
-    grid: list[list[BinaryMatrix]] = [[corner] + top]
-    grid.append([left[0]] + [identity] * k)
-    for i in range(2, k + 1):
-        square = s.squares[i - 2]
-        band: list[BinaryMatrix] = [left[i - 1]]
-        for j in range(1, k + 1):
-            data = tuple(
-                1 if square.entries[r][c] == j else 0 for r in range(k) for c in range(k)
-            )
-            band.append(BinaryMatrix(k, k, data))
-        grid.append(band)
-    return assemble(grid)
+    n = k * k + k + 1
+    data = [0] * (n * n)
+    # border band: row 0 fills the corner's first row, row r starts the
+    # corner's first column and fills top block r
+    data[: k + 1] = [1] * (k + 1)
+    for r in range(1, k + 1):
+        data[r * n] = 1
+        c0, c1 = _span(r, k)
+        data[r * n + c0 : r * n + c1] = [1] * k
+    # inner bands: left block i has its ones in column i, the first band
+    # holds identity blocks and every later band one square
+    for i in range(1, k + 1):
+        for r in range(k):
+            base = (_span(i, k)[0] + r) * n
+            data[base + i] = 1
+            if i == 1:
+                ones = [(j, r) for j in range(1, k + 1)]
+            else:
+                ones = [(s.squares[i - 2].entries[r][c], c) for c in range(k)]
+            for j, c in ones:
+                data[base + _span(j, k)[0] + c] = 1
+    return BinaryMatrix(n, n, tuple(data))

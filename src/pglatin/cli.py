@@ -6,7 +6,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .binmat import BinaryMatrix, FormatError, from_inc_text, to_inc_text
@@ -21,23 +20,6 @@ from .geometry import (
 from .latin import MplsSet, from_ls_text, resolvability_report, to_ls_text, verify_mpls
 from .matching import decompose_regular, duality_report
 from .planes import build_pg2, geometry_from_incidence
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Everything one subcommand invocation needs, parsed and typed."""
-
-    command: str
-    input: Path | None = None
-    output: Path | None = None
-    meta: Path | None = None
-    in_dir: Path | None = None
-    out_dir: Path | None = None
-    json_out: Path | None = None
-    order: int | None = None
-    target: int | None = None
-    seed: int = 0
-    verbose: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,28 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> CommandConfig:
-    return CommandConfig(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        output=getattr(ns, "out", None),
-        meta=getattr(ns, "meta", None),
-        in_dir=getattr(ns, "in_dir", None),
-        out_dir=getattr(ns, "out_dir", None),
-        json_out=getattr(ns, "json", None),
-        order=getattr(ns, "order", None),
-        target=getattr(ns, "target", None),
-        seed=ns.seed,
-        verbose=ns.verbose,
-    )
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _note(cfg: CommandConfig, message: str) -> None:
-    if cfg.verbose:
+def _note(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
         print(message, file=sys.stderr)
 
 
@@ -130,56 +96,54 @@ def _load_mpls_dir(path: Path) -> MplsSet:
     if sorted(found) != list(range(1, count + 1)):
         raise FormatError(f"square files must be numbered L1.ls..L{count}.ls, found {sorted(found)}")
     squares = tuple(from_ls_text(found[i].read_text()) for i in range(1, count + 1))
+    for i, square in enumerate(squares[1:], start=2):
+        if square.order != squares[0].order:
+            raise FormatError(f"L{i}.ls has order {square.order}, expected {squares[0].order} as in L1.ls")
     return MplsSet(squares[0].order, squares)
 
 
-def _cmd_gen_plane(cfg: CommandConfig) -> int:
-    assert cfg.order is not None and cfg.output is not None
-    bundle = build_pg2(cfg.order)
-    cfg.output.write_text(to_inc_text(bundle.incidence))
-    if cfg.json_out is not None:
-        cfg.json_out.write_text(json.dumps(geometry_to_json(bundle.geometry), sort_keys=True, indent=2) + "\n")
-    _note(cfg, f"built plane of order {cfg.order}")
-    _emit({"b": bundle.geometry.b, "order": cfg.order, "out": str(cfg.output), "v": bundle.geometry.v})
+def _cmd_gen_plane(args: argparse.Namespace) -> int:
+    bundle = build_pg2(args.order)
+    args.out.write_text(to_inc_text(bundle.incidence))
+    if args.json is not None:
+        args.json.write_text(json.dumps(geometry_to_json(bundle.geometry), sort_keys=True, indent=2) + "\n")
+    _note(args, f"built plane of order {args.order}")
+    _emit({"b": bundle.geometry.b, "order": args.order, "out": str(args.out), "v": bundle.geometry.v})
     return 0
 
 
-def _cmd_canon(cfg: CommandConfig) -> int:
-    assert cfg.input is not None and cfg.output is not None and cfg.meta is not None
-    form = canonicalize(_read_matrix(cfg.input))
-    cfg.output.write_text(to_inc_text(form.matrix))
+def _cmd_canon(args: argparse.Namespace) -> int:
+    form = canonicalize(_read_matrix(args.input))
+    args.out.write_text(to_inc_text(form.matrix))
     meta = {
         "order": form.order,
         "row_perm": list(form.row_perm.images),
         "col_perm": list(form.col_perm.images),
     }
-    cfg.meta.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    _emit({"inc": str(cfg.output), "meta": str(cfg.meta), "order": form.order})
+    args.meta.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _emit({"inc": str(args.out), "meta": str(args.meta), "order": form.order})
     return 0
 
 
-def _cmd_extract(cfg: CommandConfig) -> int:
-    assert cfg.input is not None and cfg.out_dir is not None
-    form = canonicalize(_read_matrix(cfg.input))
+def _cmd_extract(args: argparse.Namespace) -> int:
+    form = canonicalize(_read_matrix(args.input))
     squares = extract_mpls(form)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, square in enumerate(squares.squares, start=1):
-        (cfg.out_dir / f"L{idx}.ls").write_text(to_ls_text(square))
-    _emit({"count": len(squares.squares), "order": squares.order, "out_dir": str(cfg.out_dir)})
+        (args.out_dir / f"L{idx}.ls").write_text(to_ls_text(square))
+    _emit({"count": len(squares.squares), "order": squares.order, "out_dir": str(args.out_dir)})
     return 0
 
 
-def _cmd_reconstruct(cfg: CommandConfig) -> int:
-    assert cfg.in_dir is not None and cfg.output is not None
-    matrix = reconstruct(_load_mpls_dir(cfg.in_dir))
-    cfg.output.write_text(to_inc_text(matrix))
-    _emit({"out": str(cfg.output), "size": matrix.rows})
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    matrix = reconstruct(_load_mpls_dir(args.in_dir))
+    args.out.write_text(to_inc_text(matrix))
+    _emit({"out": str(args.out), "size": matrix.rows})
     return 0
 
 
-def _cmd_verify_plane(cfg: CommandConfig) -> int:
-    assert cfg.input is not None
-    matrix = _read_matrix(cfg.input)
+def _cmd_verify_plane(args: argparse.Namespace) -> int:
+    matrix = _read_matrix(args.input)
     try:
         geometry = geometry_from_incidence(matrix)
     except ValueError as exc:
@@ -198,9 +162,8 @@ def _cmd_verify_plane(cfg: CommandConfig) -> int:
     return 0 if verdict.first_def and verdict.second_def else 1
 
 
-def _cmd_verify_mpls(cfg: CommandConfig) -> int:
-    assert cfg.in_dir is not None
-    squares = _load_mpls_dir(cfg.in_dir)
+def _cmd_verify_mpls(args: argparse.Namespace) -> int:
+    squares = _load_mpls_dir(args.in_dir)
     report = verify_mpls(squares)
     _emit(
         {
@@ -214,21 +177,19 @@ def _cmd_verify_mpls(cfg: CommandConfig) -> int:
     return 0 if report.is_mpls else 1
 
 
-def _cmd_decompose(cfg: CommandConfig) -> int:
-    assert cfg.input is not None and cfg.out_dir is not None
-    matrix = _read_matrix(cfg.input)
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    matrix = _read_matrix(args.input)
     degree = sum(matrix.row(0))
     parts = decompose_regular(matrix, degree)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, part in enumerate(parts, start=1):
-        (cfg.out_dir / f"P{idx}.inc").write_text(to_inc_text(part))
-    _emit({"count": len(parts), "out_dir": str(cfg.out_dir)})
+        (args.out_dir / f"P{idx}.inc").write_text(to_inc_text(part))
+    _emit({"count": len(parts), "out_dir": str(args.out_dir)})
     return 0
 
 
-def _cmd_matching(cfg: CommandConfig) -> int:
-    assert cfg.input is not None
-    report = duality_report(_read_matrix(cfg.input))
+def _cmd_matching(args: argparse.Namespace) -> int:
+    report = duality_report(_read_matrix(args.input))
     w_witness = None
     if report.w_witness is not None:
         w_witness = {"cols": list(report.w_witness.cols), "rows": list(report.w_witness.rows)}
@@ -245,9 +206,8 @@ def _cmd_matching(cfg: CommandConfig) -> int:
     return 0
 
 
-def _cmd_classify(cfg: CommandConfig) -> int:
-    assert cfg.input is not None
-    payload = json.loads(cfg.input.read_text())
+def _cmd_classify(args: argparse.Namespace) -> int:
+    payload = json.loads(args.input.read_text())
     geometry = geometry_from_json(payload)
     shape = classify_v_eq_b(geometry)
     if isinstance(shape, PencilWithTransversal):
@@ -257,17 +217,16 @@ def _cmd_classify(cfg: CommandConfig) -> int:
     return 0
 
 
-def _cmd_resolve(cfg: CommandConfig) -> int:
-    assert cfg.in_dir is not None and cfg.target is not None
-    squares = _load_mpls_dir(cfg.in_dir)
-    if not 1 <= cfg.target <= len(squares.squares):
+def _cmd_resolve(args: argparse.Namespace) -> int:
+    squares = _load_mpls_dir(args.in_dir)
+    if not 1 <= args.target <= len(squares.squares):
         print(f"error: --target must sit in 1..{len(squares.squares)}", file=sys.stderr)
         return 2
-    report = resolvability_report(squares, cfg.target - 1)
+    report = resolvability_report(squares, args.target - 1)
     _emit(
         {
             "resolutions": len(report.resolutions),
-            "target": cfg.target,
+            "target": args.target,
             "transversals_per_resolution": squares.order,
             "verified": report.verified,
         }
@@ -289,18 +248,13 @@ _HANDLERS = {
 }
 
 
-def run(cfg: CommandConfig) -> int:
-    return _HANDLERS[cfg.command](cfg)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = config_from_args(ns)
     try:
-        return run(cfg)
+        return _HANDLERS[args.command](args)
     except (FormatError, json.JSONDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2

@@ -177,8 +177,9 @@ def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
     """Four points with no three on a common line, or None.
 
     Two distinct lines meet in at most one point, so two spare points on
-    each give such a quadruple directly; a brute-force sweep over
-    4-subsets covers the leftovers (small inputs only).
+    each give such a quadruple directly. The search is also complete: for
+    any independent a, b, c, d the lines ab and cd meet off all four, so
+    the pair of lines ab, cd has two spare points each.
     """
     line_sets = [set(line) for line in g.lines]
     for i, j in combinations(range(g.b), 2):
@@ -188,9 +189,6 @@ def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
         if len(a) == 2 and len(b) == 2:
             quad = tuple(sorted(a + b))
             return quad  # type: ignore[return-value]
-    for quad in combinations(range(g.point_count), 4):
-        if independent_points(g, quad):
-            return quad
     return None
 
 

@@ -71,3 +71,12 @@ def unit_diagonal_squares(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 def row_agreements(row_a, row_b) -> int:
     return sum(x == y for x, y in zip(row_a, row_b))
+
+
+def brute_four_independent(point_count: int, lines):
+    """The first 4-subset of points with no three on a common line, or None."""
+    line_sets = [set(line) for line in lines]
+    for quad in combinations(range(point_count), 4):
+        if all(len(line & set(quad)) <= 2 for line in line_sets):
+            return quad
+    return None

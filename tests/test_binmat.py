@@ -4,11 +4,8 @@ from hypothesis import strategies as st
 
 from pglatin.binmat import (
     BinaryMatrix,
-    BlockPartition,
     FormatError,
     Permutation,
-    assemble,
-    block,
     from_inc_text,
     is_permutation_matrix,
     permute,
@@ -133,51 +130,6 @@ class TestPermute:
         there = permute(m, rp, cp)
         assert permute(there, rp.inverse(), cp.inverse()) == m
         assert there[(rp(1), cp(2))] == m[(1, 2)]
-
-
-class TestBlocks:
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            BlockPartition((1, 3), (0, 3))
-        with pytest.raises(ValueError):
-            BlockPartition((0, 3, 3), (0, 3))
-        with pytest.raises(ValueError):
-            BlockPartition((0,), (0, 2))
-
-    def test_from_sizes_and_spans(self):
-        p = BlockPartition.from_sizes([3, 2, 2], [4, 3])
-        assert p.row_cuts == (0, 3, 5, 7)
-        assert p.col_cuts == (0, 4, 7)
-        assert p.row_blocks == 3 and p.col_blocks == 2
-        assert p.row_span(1) == (3, 5)
-        assert p.col_span(0) == (0, 4)
-        with pytest.raises(IndexError):
-            p.row_span(3)
-
-    def test_block_extraction(self):
-        m = BinaryMatrix.from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        p = BlockPartition.from_sizes([2, 2], [2, 2])
-        assert block(m, p, 0, 0) == BinaryMatrix.ones(2, 2)
-        assert block(m, p, 1, 1) == BinaryMatrix.identity(2)
-        assert block(m, p, 0, 1) == BinaryMatrix.zeros(2, 2)
-
-    def test_block_partition_must_cover(self):
-        with pytest.raises(ValueError):
-            block(BinaryMatrix.ones(3, 3), BlockPartition.from_sizes([2], [3]), 0, 0)
-
-    def test_assemble_round_trip(self):
-        m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-        p = BlockPartition.from_sizes([2, 1], [1, 2])
-        grid = [[block(m, p, i, j) for j in range(2)] for i in range(2)]
-        assert assemble(grid) == m
-
-    def test_assemble_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            assemble([[BinaryMatrix.ones(2, 2), BinaryMatrix.ones(1, 2)]])
-        with pytest.raises(ValueError):
-            assemble([[BinaryMatrix.ones(2, 2)], [BinaryMatrix.ones(2, 3)]])
-        with pytest.raises(ValueError):
-            assemble([])
 
 
 def test_is_permutation_matrix():

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import unit_diagonal_squares
-from pglatin.binmat import BinaryMatrix, BlockPartition, Permutation, assemble, permute
+from pglatin.binmat import BinaryMatrix, Permutation, permute
 from pglatin.canonical import (
     BlockForm,
     canonicalize,
@@ -39,11 +42,12 @@ class TestCanonicalizeFano:
 
     def test_forced_inner_block(self, fano_incidence):
         form = canonicalize(fano_incidence)
-        assert form.block(2, 2).to_grid() == [[0, 1], [1, 0]]
+        # inner block (2, 2) of the (3, 2, 2) layout: rows and columns 5..6
+        assert [form.matrix.row(r)[5:7] for r in (5, 6)] == [(0, 1), (1, 0)]
 
     def test_partition_layout(self, fano_incidence):
         form = canonicalize(fano_incidence)
-        assert form.partition.row_cuts == (0, 3, 5, 7)
+        assert form.matrix.row(0) == (1, 1, 1, 0, 0, 0, 0)
         assert form.side == 7
 
 
@@ -74,24 +78,11 @@ class TestVerifyBlockForm:
         form = BlockForm(
             BinaryMatrix.ones(4, 4),
             2,
-            BlockPartition.from_sizes([3, 2, 2], [3, 2, 2]),
             Permutation.identity(4),
             Permutation.identity(4),
         )
         report = verify_block_form(form)
         assert not report.ok and "expected 7x7" in report.first
-
-    def test_wrong_partition(self, canonical_cache):
-        good = canonical_cache(2)
-        form = BlockForm(
-            good.matrix,
-            2,
-            BlockPartition.from_sizes([2, 2, 3], [3, 2, 2]),
-            good.row_perm,
-            good.col_perm,
-        )
-        report = verify_block_form(form)
-        assert not report.ok and "partition" in report.first
 
     def test_flipped_bit_breaks_borders(self, canonical_cache):
         good = canonical_cache(2)
@@ -100,7 +91,6 @@ class TestVerifyBlockForm:
         form = BlockForm(
             BinaryMatrix(7, 7, tuple(data)),
             2,
-            good.partition,
             good.row_perm,
             good.col_perm,
         )
@@ -116,7 +106,7 @@ class TestVerifyBlockForm:
         form_matrix = permute(
             good.matrix, Permutation(tuple(images)), Permutation.identity(7)
         )
-        form = BlockForm(form_matrix, 2, good.partition, good.row_perm, good.col_perm)
+        form = BlockForm(form_matrix, 2, good.row_perm, good.col_perm)
         report = verify_block_form(form)
         assert not report.ok
         assert any("identity" in v for v in report.violations)
@@ -125,12 +115,96 @@ class TestVerifyBlockForm:
         form = BlockForm(
             BinaryMatrix.zeros(7, 7),
             2,
-            BlockPartition.from_sizes([3, 2, 2], [3, 2, 2]),
             Permutation.identity(7),
             Permutation.identity(7),
         )
         report = verify_block_form(form)
         assert len(report.violations) > 3
+
+
+# sha256 of the JSON list of violation lists, one list per perturbed matrix,
+# recorded from the earlier implementation that cut every block out as its
+# own matrix; the report must not depend on how the layout is read
+FLIP_DIGESTS = {
+    2: "a1cea0296c45e4c6e17b198806428a45c9be8de82f6e049577a7e8176893d96c",
+    3: "fe32e242558ff348bf1f7df8e75c73726450010d834e9907758d3d2ae55a7ea6",
+    4: "be49a1c8cebddecc6ae80bbf04746165c21a3737d9899851ebc326f00e336696",
+}
+SWAP_DIGESTS = {
+    2: "15a3676d3d2bb5cf86e3a3920cab046581267caec4f66cfbb353859c98a08618",
+    3: "36c85f3e4861b9db76d79e7d26af3d166deed375f2b50581d962cdc0ef1b4313",
+    4: "da51c13b97b3561cf5a3742b3fffc73963aaff5816d3d348084356c04c2c5369",
+}
+
+# single-cell flips of the order-3 canonical matrix, one per message kind
+ORDER3_FLIPS = {
+    (0, 0): ("corner block must have ones exactly in its first row and first column",),
+    (0, 4): ("top block 1 must have ones exactly in row 1",),
+    (4, 0): ("left block 1 must have ones exactly in column 1",),
+    (4, 4): (
+        "inner block (1, 1) is not a permutation matrix",
+        "inner block (1, 1) must be the identity",
+    ),
+    (4, 7): (
+        "inner block (1, 2) is not a permutation matrix",
+        "inner block (1, 2) must be the identity",
+        "inner block column 2 covers cell (0, 0) 0 times, expected once",
+    ),
+    (7, 4): (
+        "inner block (2, 1) is not a permutation matrix",
+        "inner block (2, 1) must be the identity",
+        "inner block row 2 covers cell (0, 0) 0 times, expected once",
+    ),
+    (7, 7): (
+        "inner block (2, 2) is not a permutation matrix",
+        "inner block row 2 covers cell (0, 0) 2 times, expected once",
+        "inner block column 2 covers cell (0, 0) 2 times, expected once",
+    ),
+}
+
+
+def _violations(good, matrix):
+    return verify_block_form(BlockForm(matrix, good.order, good.row_perm, good.col_perm)).violations
+
+
+def _flipped(m, cell):
+    data = list(m.data)
+    data[cell] ^= 1
+    return BinaryMatrix(m.rows, m.cols, tuple(data))
+
+
+def _digest(reports):
+    return hashlib.sha256(json.dumps([list(v) for v in reports]).encode()).hexdigest()
+
+
+class TestVerifyBlockFormPinned:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_every_single_cell_flip(self, q, canonical_cache):
+        good = canonical_cache(q)
+        n = good.matrix.rows
+        reports = [_violations(good, _flipped(good.matrix, cell)) for cell in range(n * n)]
+        assert all(reports)
+        assert _digest(reports) == FLIP_DIGESTS[q]
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_every_row_and_column_swap(self, q, canonical_cache):
+        good = canonical_cache(q)
+        n = good.matrix.rows
+        identity = Permutation.identity(n)
+        reports = []
+        for a, b in combinations(range(n), 2):
+            images = list(range(n))
+            images[a], images[b] = b, a
+            swap = Permutation(tuple(images))
+            reports.append(_violations(good, permute(good.matrix, swap, identity)))
+            reports.append(_violations(good, permute(good.matrix, identity, swap)))
+        assert _digest(reports) == SWAP_DIGESTS[q]
+
+    @pytest.mark.parametrize("cell", sorted(ORDER3_FLIPS))
+    def test_message_kinds(self, cell, canonical_cache):
+        good = canonical_cache(3)
+        r, c = cell
+        assert _violations(good, _flipped(good.matrix, r * 13 + c)) == ORDER3_FLIPS[cell]
 
 
 class TestExtract:
@@ -157,7 +231,6 @@ class TestExtract:
         form = BlockForm(
             BinaryMatrix.zeros(7, 7),
             2,
-            good.partition,
             good.row_perm,
             good.col_perm,
         )
@@ -219,7 +292,7 @@ class TestNoAugmentation:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([2, 3]), st.integers(0, 10_000))
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(0, 10_000))
 def test_relabelled_planes_canonicalize(q, seed):
     from pglatin.planes import build_pg2
 

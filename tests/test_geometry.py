@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FANO_LINES, NEAR_PENCIL_LINES
+from oracles import brute_four_independent
 from pglatin.geometry import (
     Geometry,
     GeometryError,
@@ -152,6 +153,30 @@ class TestIndependence:
         g = plane_cache(3).geometry
         quad = find_four_independent(g)
         assert quad is not None and independent_points(g, quad)
+
+    @staticmethod
+    def _agrees_with_oracle(g):
+        quad = find_four_independent(g)
+        if brute_four_independent(g.point_count, g.lines) is None:
+            assert quad is None
+        else:
+            assert quad is not None and independent_points(g, quad)
+
+    def test_oracle_agreement_on_every_fano_subgeometry(self, fano):
+        for size in range(8):
+            for points in combinations(range(7), size):
+                self._agrees_with_oracle(subgeometry(fano, points))
+
+    def test_oracle_agreement_on_pg23_subgeometries(self, plane_cache):
+        g = plane_cache(3).geometry
+        rng = random.Random(23)
+        for _ in range(1000):
+            self._agrees_with_oracle(subgeometry(g, rng.sample(range(13), rng.randint(4, 13))))
+
+    def test_large_near_pencil_has_no_quadruple(self):
+        # 119 points on one line plus a point joined to each of them
+        g = Geometry(120, (tuple(range(119)),) + tuple((p, 119) for p in range(119)))
+        assert find_four_independent(g) is None
 
 
 class TestPlaneCheck:
