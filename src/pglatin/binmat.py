@@ -3,38 +3,77 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from struct import unpack
+from typing import Iterable, Sequence
 
 
 class FormatError(ValueError):
     """A text payload does not match the file format it claims to follow."""
 
 
-@dataclass(frozen=True, repr=False)
-class BinaryMatrix:
-    """A rectangular matrix over {0, 1} stored row-major in a flat tuple.
+def ones(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
+
+# cell bytes 0/1 <-> ASCII digits, for packing and unpacking rows at C speed
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@dataclass(frozen=True, repr=False, init=False)
+class BinaryMatrix:
+    """A rectangular matrix over {0, 1}, one int per row.
+
+    Bit j of masks[i] is cell (i, j). The constructor takes the cells
+    row-major in a flat sequence; `data` gives them back that way.
     Instances are immutable after construction and safe to share freely.
     """
 
     rows: int
     cols: int
-    data: tuple[int, ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(
-                f"matrix must have positive dimensions, got {self.rows}x{self.cols}"
-            )
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError(
-                f"flat data holds {len(self.data)} entries, expected {self.rows * self.cols}"
-            )
-        for value in self.data:
-            if value != 0 and value != 1:
-                raise ValueError(f"entries must be 0 or 1, found {value!r}")
+    def __init__(self, rows: int, cols: int, data: Sequence[int]) -> None:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix must have positive dimensions, got {rows}x{cols}")
+        if len(data) != rows * cols:
+            raise ValueError(f"flat data holds {len(data)} entries, expected {rows * cols}")
+        try:
+            cells = bytearray(data)
+        except (TypeError, ValueError):
+            cells = None
+        if cells is None or cells.translate(None, b"\x00\x01"):
+            for value in data:
+                if value != 0 and value != 1:
+                    raise ValueError(f"entries must be 0 or 1, found {value!r}")
+            cells = bytearray(value == 1 for value in data)
+        # reversed, each row's digits read in binary put cell (i, 0) lowest; rows come last first
+        digits = cells.translate(_TO_DIGITS)
+        digits.reverse()
+        self._fill(cols, tuple([int(row, 2) for row in reversed(unpack(f"{cols}s" * rows, digits))]))
 
     # construction helpers
+
+    @classmethod
+    def from_masks(cls, cols: int, masks: Iterable[int]) -> BinaryMatrix:
+        m = object.__new__(cls)
+        m._fill(cols, tuple(masks))
+        return m
+
+    def _fill(self, cols: int, masks: tuple[int, ...]) -> None:
+        if not masks or cols < 1:
+            raise ValueError(f"matrix must have positive dimensions, got {len(masks)}x{cols}")
+        if min(masks) < 0 or max(masks) >> cols:
+            raise ValueError(f"row masks must be nonnegative and below 2**{cols}")
+        object.__setattr__(self, "rows", len(masks))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> BinaryMatrix:
@@ -48,46 +87,56 @@ class BinaryMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BinaryMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls.from_masks(cols, (0,) * rows)
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> BinaryMatrix:
-        return cls(rows, cols, (1,) * (rows * cols))
+        return cls.from_masks(cols, ((1 << cols) - 1,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> BinaryMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.from_masks(n, [1 << i for i in range(n)])
 
     # access
+
+    def _cells(self, mask: int) -> bytes:
+        return format(mask, f"0{self.cols}b")[::-1].encode().translate(_FROM_DIGITS)
+
+    @property
+    def data(self) -> tuple[int, ...]:
+        return tuple(b"".join(map(self._cells, self.masks)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"cell ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self.data[i * self.cols + j]
+        return self.masks[i] >> j & 1
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        return tuple(self._cells(self.masks[i]))
 
     def col(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return self.data[j :: self.cols]
+        return tuple(mask >> j & 1 for mask in self.masks)
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(self.row(i)) for i in range(self.rows))
+        return tuple(mask.bit_count() for mask in self.masks)
 
     def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(self.col(j)) for j in range(self.cols))
+        return self.transpose().row_sums()
 
     def transpose(self) -> BinaryMatrix:
-        data = tuple(self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        return BinaryMatrix(self.cols, self.rows, data)
+        out = [0] * self.cols
+        for i, mask in enumerate(self.masks):
+            for j in ones(mask):
+                out[j] |= 1 << i
+        return BinaryMatrix.from_masks(self.rows, out)
 
     def to_grid(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(self._cells(mask)) for mask in self.masks]
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"
@@ -125,11 +174,7 @@ class Permutation:
 
     def to_matrix(self) -> BinaryMatrix:
         """The matrix with a single 1 in row i at column images[i]."""
-        n = self.size
-        data = [0] * (n * n)
-        for i, image in enumerate(self.images):
-            data[i * n + image] = 1
-        return BinaryMatrix(n, n, tuple(data))
+        return BinaryMatrix.from_masks(self.size, [1 << image for image in self.images])
 
 
 def permute(m: BinaryMatrix, row_perm: Permutation, col_perm: Permutation) -> BinaryMatrix:
@@ -138,20 +183,21 @@ def permute(m: BinaryMatrix, row_perm: Permutation, col_perm: Permutation) -> Bi
         raise ValueError(
             f"permutation sizes {row_perm.size}/{col_perm.size} do not match matrix {m.rows}x{m.cols}"
         )
-    out = [0] * (m.rows * m.cols)
-    for i in range(m.rows):
-        src = i * m.cols
-        dst = row_perm(i) * m.cols
-        for j in range(m.cols):
-            out[dst + col_perm(j)] = m.data[src + j]
-    return BinaryMatrix(m.rows, m.cols, tuple(out))
+    col_images = col_perm.images
+    out = [0] * m.rows
+    for i, mask in enumerate(m.masks):
+        moved = 0
+        for j in ones(mask):
+            moved |= 1 << col_images[j]
+        out[row_perm(i)] = moved
+    return BinaryMatrix.from_masks(m.cols, out)
 
 
 def is_permutation_matrix(m: BinaryMatrix) -> bool:
     """True when m is square with exactly one 1 in every row and column."""
     if m.rows != m.cols:
         return False
-    return all(s == 1 for s in m.row_sums()) and all(s == 1 for s in m.col_sums())
+    return all(mask.bit_count() == 1 for mask in m.masks) and len(set(m.masks)) == m.rows
 
 
 # plain text serialization: a header line "rows cols" followed by one line of
@@ -162,8 +208,8 @@ _INC_CHARS = frozenset("0123456789 \n")
 
 def to_inc_text(m: BinaryMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
+    for mask in m.masks:
+        lines.append(" ".join(format(mask, f"0{m.cols}b")[::-1]))
     return "\n".join(lines) + "\n"
 
 
@@ -184,13 +230,14 @@ def from_inc_text(text: str) -> BinaryMatrix:
         raise FormatError("dimensions must be positive")
     if len(lines) - 1 != rows:
         raise FormatError(f"expected {rows} data lines, found {len(lines) - 1}")
-    data: list[int] = []
+    masks = []
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != cols:
             raise FormatError(f"line {lineno}: expected {cols} entries, found {len(tokens)}")
-        for tok in tokens:
-            if tok not in ("0", "1"):
-                raise FormatError(f"line {lineno}: entry must be 0 or 1, found {tok!r}")
-            data.append(1 if tok == "1" else 0)
-    return BinaryMatrix(rows, cols, tuple(data))
+        digits = "".join(tokens)
+        if len(digits) != cols or digits.count("0") + digits.count("1") != cols:
+            bad = next(tok for tok in tokens if tok not in ("0", "1"))
+            raise FormatError(f"line {lineno}: entry must be 0 or 1, found {bad!r}")
+        masks.append(int(digits[::-1], 2))
+    return BinaryMatrix.from_masks(cols, masks)

@@ -29,8 +29,10 @@ of squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import or_
 
-from .binmat import BinaryMatrix, Permutation, permute
+from .binmat import BinaryMatrix, Permutation, ones, permute
 from .geometry import plane_check
 from .latin import LatinSquare, MplsSet, verify_mpls
 from .planes import geometry_from_incidence
@@ -48,6 +50,11 @@ class BlockForm:
     @property
     def side(self) -> int:
         return self.matrix.rows
+
+    @cached_property
+    def _report(self) -> BlockFormReport:
+        """verify_block_form(self), run once per form; the form is frozen."""
+        return verify_block_form(self)
 
 
 def _span(i: int, k: int) -> tuple[int, int]:
@@ -73,25 +80,21 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     assert verdict.order is not None
     k = verdict.order
     n = m.rows
-    line_sets = [set(line) for line in g.lines]
+    rows = m.masks
 
-    line1_pts = list(g.lines[0])
+    line1_pts = ones(rows[0])
     p1 = line1_pts[0]
-    block1_rows = sorted(r for r in range(n) if p1 in line_sets[r])
+    block1_rows = [r for r in range(n) if rows[r] >> p1 & 1]
 
     col_order = list(line1_pts)
-    for line_row in block1_rows[1:]:
-        col_order.extend(p for p in g.lines[line_row] if p != p1)
+    for r in block1_rows[1:]:
+        col_order.extend(ones(rows[r] ^ 1 << p1))
 
     row_order = list(block1_rows)
-    in_block1 = set(block1_rows)
-    for s in range(1, k + 1):
-        ps = line1_pts[s]
-        row_order.extend(
-            r for r in range(n) if r not in in_block1 and ps in line_sets[r]
-        )
-    if len(col_order) != n or len(row_order) != n:
-        raise RuntimeError("stage ordering lost indices; this cannot happen")
+    for ps in line1_pts[1:]:
+        # the lines through ps that miss p1
+        both = 1 << ps | 1 << p1
+        row_order.extend(r for r in range(n) if rows[r] & both == 1 << ps)
 
     # inner identity normalization: first reorder each inner column block so
     # the block in the first inner row becomes the identity, then reorder the
@@ -99,39 +102,30 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     first_inner_rows = row_order[slice(*_span(1, k))]
     for j in range(1, k + 1):
         start, stop = _span(j, k)
-        segment = col_order[start:stop]
-        seg_set = set(segment)
-        new_segment: list[int | None] = [None] * k
-        for local, r in enumerate(first_inner_rows):
-            hits = line_sets[r] & seg_set
-            if len(hits) != 1:
-                raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
-            new_segment[local] = hits.pop()
-        col_order[start:stop] = new_segment  # type: ignore[assignment]
+        segment = sum(1 << c for c in col_order[start:stop])
+        hits = [rows[r] & segment for r in first_inner_rows]
+        if any(hit.bit_count() != 1 for hit in hits):
+            raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
+        col_order[start:stop] = [hit.bit_length() - 1 for hit in hits]
     first_inner_cols = col_order[slice(*_span(1, k))]
+    local_of = {c: local for local, c in enumerate(first_inner_cols)}
+    first_inner = sum(1 << c for c in first_inner_cols)
     for i in range(2, k + 1):
         start, stop = _span(i, k)
-        segment = row_order[start:stop]
         new_rows: list[int | None] = [None] * k
-        for r in segment:
-            hits = [local for local, c in enumerate(first_inner_cols) if c in line_sets[r]]
-            if len(hits) != 1 or new_rows[hits[0]] is not None:
+        for r in row_order[start:stop]:
+            hit = rows[r] & first_inner
+            if hit.bit_count() != 1 or new_rows[local_of[hit.bit_length() - 1]] is not None:
                 raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
-            new_rows[hits[0]] = r
+            new_rows[local_of[hit.bit_length() - 1]] = r
         row_order[start:stop] = new_rows  # type: ignore[assignment]
 
-    row_images = [0] * n
-    for position, original in enumerate(row_order):
-        row_images[original] = position
-    col_images = [0] * n
-    for position, original in enumerate(col_order):
-        col_images[original] = position
-    row_perm = Permutation(tuple(row_images))
-    col_perm = Permutation(tuple(col_images))
+    # position -> original, checked to be a bijection, inverted to original -> position
+    row_perm = Permutation(tuple(row_order)).inverse()
+    col_perm = Permutation(tuple(col_order)).inverse()
     form = BlockForm(permute(m, row_perm, col_perm), k, row_perm, col_perm)
-    report = verify_block_form(form)
-    if not report.ok:
-        raise RuntimeError(f"canonicalization produced an invalid block form: {report.first}")
+    if not form._report.ok:
+        raise RuntimeError(f"canonicalization produced an invalid block form: {form._report.first}")
     return form
 
 
@@ -148,10 +142,15 @@ class BlockFormReport:
         return self.violations[0] if self.violations else None
 
 
-def _miscovered(blocks: list[tuple[tuple[int, ...], ...]]) -> tuple[int, int, int] | None:
-    """The first cell (r, c, total) that the blocks together do not cover exactly once."""
-    for r, block_rows in enumerate(zip(*blocks)):
-        for c, total in enumerate(map(sum, zip(*block_rows))):
+def _miscovered(blocks: list[list[int]], k: int) -> tuple[int, int, int] | None:
+    """The first cell (r, c, total) that the k-column blocks together do not cover exactly once."""
+    full = (1 << k) - 1
+    for r, pieces in enumerate(zip(*blocks)):
+        # the sum exceeds the union exactly when two pieces overlap
+        if sum(pieces) == reduce(or_, pieces) == full:
+            continue
+        for c in range(k):
+            total = sum(piece >> c & 1 for piece in pieces)
             if total != 1:
                 return r, c, total
     return None
@@ -164,26 +163,26 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
     n = k * k + k + 1
     if bf.matrix.rows != n or bf.matrix.cols != n:
         return BlockFormReport((f"matrix is {bf.matrix.rows}x{bf.matrix.cols}, expected {n}x{n}",))
-    data = bf.matrix.data
+    # pieces[r][j]: the bits of row r inside block column j, shifted down to bit 0
+    width = [(1 << k + 1) - 1] + [(1 << k) - 1] * k
+    pieces = [[mask >> _span(j, k)[0] & width[j] for j in range(k + 1)] for mask in bf.matrix.masks]
 
-    def cut(i: int, j: int) -> tuple[tuple[int, ...], ...]:
-        r0, r1 = _span(i, k)
-        c0, c1 = _span(j, k)
-        return tuple(data[r * n + c0 : r * n + c1] for r in range(r0, r1))
+    def cut(i: int, j: int) -> list[int]:
+        return [row[j] for row in pieces[slice(*_span(i, k))]]
 
-    if cut(0, 0) != ((1,) * (k + 1),) + ((1,) + (0,) * k,) * k:
+    if cut(0, 0) != [(1 << k + 1) - 1] + [1] * k:
         problems.append("corner block must have ones exactly in its first row and first column")
     for j in range(1, k + 1):
-        if cut(0, j) != tuple((1 if r == j else 0,) * k for r in range(k + 1)):
+        if cut(0, j) != [(1 << k) - 1 if r == j else 0 for r in range(k + 1)]:
             problems.append(f"top block {j} must have ones exactly in row {j}")
     for i in range(1, k + 1):
-        if cut(i, 0) != (tuple(1 if c == i else 0 for c in range(k + 1)),) * k:
+        if cut(i, 0) != [1 << i] * k:
             problems.append(f"left block {i} must have ones exactly in column {i}")
 
     inner = {(i, j): cut(i, j) for i in range(1, k + 1) for j in range(1, k + 1)}
-    identity = tuple(tuple(1 if c == r else 0 for c in range(k)) for r in range(k))
+    identity = [1 << r for r in range(k)]
     for (i, j), blk in inner.items():
-        if any(sum(line) != 1 for line in blk + tuple(zip(*blk))):
+        if any(row.bit_count() != 1 for row in blk) or len(set(blk)) != k:
             problems.append(f"inner block ({i}, {j}) is not a permutation matrix")
     for j in range(1, k + 1):
         if inner[(1, j)] != identity:
@@ -193,11 +192,11 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
             problems.append(f"inner block ({i}, 1) must be the identity")
 
     for i in range(2, k + 1):
-        bad = _miscovered([inner[(i, j)] for j in range(1, k + 1)])
+        bad = _miscovered([inner[(i, j)] for j in range(1, k + 1)], k)
         if bad:
             problems.append(f"inner block row {i} covers cell ({bad[0]}, {bad[1]}) {bad[2]} times, expected once")
     for j in range(2, k + 1):
-        bad = _miscovered([inner[(i, j)] for i in range(1, k + 1)])
+        bad = _miscovered([inner[(i, j)] for i in range(1, k + 1)], k)
         if bad:
             problems.append(f"inner block column {j} covers cell ({bad[0]}, {bad[1]}) {bad[2]} times, expected once")
     return BlockFormReport(tuple(problems))
@@ -211,20 +210,17 @@ def extract_mpls(bf: BlockForm) -> MplsSet:
     there. The identity blocks in the first inner column put ones on every
     diagonal.
     """
-    report = verify_block_form(bf)
-    if not report.ok:
-        raise ValueError(f"block form violates the layout: {report.first}")
+    if not bf._report.ok:
+        raise ValueError(f"block form violates the layout: {bf._report.first}")
     k = bf.order
+    masks = bf.matrix.masks
     squares = []
     for i in range(2, k + 1):
         cells = [[0] * k for _ in range(k)]
-        for r in range(k):
-            row = bf.matrix.row(_span(i, k)[0] + r)
+        for r, mask in enumerate(masks[slice(*_span(i, k))]):
             for j in range(1, k + 1):
-                c0, c1 = _span(j, k)
-                for c, value in enumerate(row[c0:c1]):
-                    if value:
-                        cells[r][c] = j
+                piece = mask >> _span(j, k)[0]
+                cells[r][(piece & -piece).bit_length() - 1] = j
         squares.append(LatinSquare.from_rows(cells))
     return MplsSet(k, tuple(squares))
 
@@ -242,24 +238,17 @@ def reconstruct(s: MplsSet) -> BinaryMatrix:
         raise ValueError(f"reconstruction needs a complete set: {detail}")
     k = s.order
     n = k * k + k + 1
-    data = [0] * (n * n)
     # border band: row 0 fills the corner's first row, row r starts the
     # corner's first column and fills top block r
-    data[: k + 1] = [1] * (k + 1)
-    for r in range(1, k + 1):
-        data[r * n] = 1
-        c0, c1 = _span(r, k)
-        data[r * n + c0 : r * n + c1] = [1] * k
+    full = (1 << k) - 1
+    masks = [(1 << k + 1) - 1] + [1 | full << _span(r, k)[0] for r in range(1, k + 1)]
     # inner bands: left block i has its ones in column i, the first band
     # holds identity blocks and every later band one square
     for i in range(1, k + 1):
         for r in range(k):
-            base = (_span(i, k)[0] + r) * n
-            data[base + i] = 1
             if i == 1:
-                ones = [(j, r) for j in range(1, k + 1)]
+                cells = [(j, r) for j in range(1, k + 1)]
             else:
-                ones = [(s.squares[i - 2].entries[r][c], c) for c in range(k)]
-            for j, c in ones:
-                data[base + _span(j, k)[0] + c] = 1
-    return BinaryMatrix(n, n, tuple(data))
+                cells = [(s.squares[i - 2].entries[r][c], c) for c in range(k)]
+            masks.append(sum(1 << _span(j, k)[0] + c for j, c in cells) | 1 << i)
+    return BinaryMatrix.from_masks(n, masks)

@@ -179,7 +179,7 @@ def _cmd_verify_mpls(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
-    degree = sum(matrix.row(0))
+    degree = matrix.masks[0].bit_count()
     parts = decompose_regular(matrix, degree)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, part in enumerate(parts, start=1):

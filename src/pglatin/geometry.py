@@ -8,11 +8,10 @@ every line carries at least two points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .binmat import FormatError
+from .binmat import FormatError, ones
 from .matching import bipartite_matching
 
 
@@ -40,7 +39,9 @@ class Geometry:
         v = self.point_count
         if v < 0:
             raise ValueError(f"point count must be nonnegative, got {v}")
-        pair_seen: dict[tuple[int, int], int] = {}
+        # joined[p]: the points above p already on a line with p
+        joined: dict[int, int] = {}
+        masks = []
         for idx, line in enumerate(self.lines):
             if tuple(sorted(set(line))) != line:
                 raise ValueError(f"line {idx} must be a sorted duplicate-free tuple, got {line!r}")
@@ -53,20 +54,25 @@ class Geometry:
                 raise GeometryError(
                     "line_too_small", idx, f"line {idx} has {len(line)} points, need at least 2"
                 )
-            for pair in combinations(line, 2):
-                if pair in pair_seen:
+            mask = sum(1 << p for p in line)
+            for p in line:
+                above = mask >> p + 1 << p + 1
+                twice = joined.get(p, 0) & above
+                if twice:
+                    pair = (p, ones(twice)[0])
+                    first = next(i for i, m in enumerate(masks) if m >> pair[0] & m >> pair[1] & 1)
                     raise GeometryError(
-                        "pair_on_two_lines",
-                        pair,
-                        f"points {pair} lie on lines {pair_seen[pair]} and {idx}",
+                        "pair_on_two_lines", pair, f"points {pair} lie on lines {first} and {idx}"
                     )
-                pair_seen[pair] = idx
-        if len(pair_seen) != v * (v - 1) // 2:
-            for pair in combinations(range(v), 2):
-                if pair not in pair_seen:
-                    raise GeometryError(
-                        "pair_on_no_line", pair, f"points {pair} lie on no common line"
-                    )
+                joined[p] = joined.get(p, 0) | above
+            masks.append(mask)
+        for p in range(v - 1):
+            # the lowest point above p not yet joined to it
+            missing = ~(joined.get(p, 0) | (2 << p) - 1)
+            q = (missing & -missing).bit_length() - 1
+            if q < v:
+                raise GeometryError("pair_on_no_line", (p, q), f"points {(p, q)} lie on no common line")
+        object.__setattr__(self, "_line_masks", tuple(masks))
 
     @property
     def v(self) -> int:
@@ -75,14 +81,6 @@ class Geometry:
     @property
     def b(self) -> int:
         return len(self.lines)
-
-    @cached_property
-    def _pair_to_line(self) -> dict[tuple[int, int], int]:
-        table: dict[tuple[int, int], int] = {}
-        for idx, line in enumerate(self.lines):
-            for pair in combinations(line, 2):
-                table[pair] = idx
-        return table
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Geometry):
@@ -106,8 +104,7 @@ def line_through(g: Geometry, p: int, q: int) -> tuple[int, ...]:
     for x in (p, q):
         if not 0 <= x < g.point_count:
             raise ValueError(f"point {x} outside 0..{g.point_count - 1}")
-    key = (p, q) if p < q else (q, p)
-    return g.lines[g._pair_to_line[key]]
+    return next(line for line, mask in zip(g.lines, g._line_masks) if mask >> p & mask >> q & 1)
 
 
 def subgeometry(g: Geometry, points: Iterable[int]) -> Geometry:
@@ -181,14 +178,10 @@ def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
     any independent a, b, c, d the lines ab and cd meet off all four, so
     the pair of lines ab, cd has two spare points each.
     """
-    line_sets = [set(line) for line in g.lines]
-    for i, j in combinations(range(g.b), 2):
-        shared = line_sets[i] & line_sets[j]
-        a = [p for p in g.lines[i] if p not in shared][:2]
-        b = [p for p in g.lines[j] if p not in shared][:2]
-        if len(a) == 2 and len(b) == 2:
-            quad = tuple(sorted(a + b))
-            return quad  # type: ignore[return-value]
+    for a, b in combinations(g._line_masks, 2):
+        spare_a, spare_b = ones(a & ~b)[:2], ones(b & ~a)[:2]
+        if len(spare_a) == 2 and len(spare_b) == 2:
+            return tuple(sorted(spare_a + spare_b))  # type: ignore[return-value]
     return None
 
 
@@ -215,11 +208,7 @@ def plane_check(g: Geometry) -> PlaneVerdict:
         and rep.r == rep.k
         and quad is not None
     )
-    line_sets = [set(line) for line in g.lines]
-    pairwise_meeting = all(
-        not line_sets[i].isdisjoint(line_sets[j]) for i, j in combinations(range(g.b), 2)
-    )
-    second = pairwise_meeting and quad is not None
+    second = quad is not None and all(a & b for a, b in combinations(g._line_masks, 2))
     order = None
     if first and second:
         assert rep.k is not None

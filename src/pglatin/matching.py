@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, ones
 
 
 def bipartite_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int]:
@@ -61,10 +61,6 @@ def bipartite_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> l
     return match_left
 
 
-def _ones_adjacency(f: BinaryMatrix) -> list[list[int]]:
-    return [[c for c in range(f.cols) if f.data[r * f.cols + c]] for r in range(f.rows)]
-
-
 @dataclass(frozen=True)
 class MatchingWitness:
     """A set of 1-cells, no two sharing a row or a column."""
@@ -109,7 +105,7 @@ class ZeroBlockWitness:
 
 def max_independent_ones(f: BinaryMatrix) -> MatchingWitness:
     """Largest set of ones with no two in one row or column."""
-    match_left = bipartite_matching(_ones_adjacency(f), f.cols)
+    match_left = bipartite_matching(list(map(ones, f.masks)), f.cols)
     pairs = tuple((r, c) for r, c in enumerate(match_left) if c >= 0)
     return MatchingWitness(len(pairs), pairs)
 
@@ -152,29 +148,26 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     the remainder re-solved, which is exact for the two-sided maximum.
     """
     m, n = f.rows, f.cols
-    if 0 not in f.data:
+    if all(mask.bit_count() == n for mask in f.masks):
         return None
-    adjacency = _ones_adjacency(f)
+    adjacency = list(map(ones, f.masks))
     match_left = bipartite_matching(adjacency, n)
     rows_in, cols_in = _independent_selection(adjacency, n, match_left)
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
 
     best: ZeroBlockWitness | None = None
-    for i in range(m):
-        row = f.row(i)
-        zero_cols = [c for c in range(n) if not row[c]]
-        if not zero_cols:
-            continue
-        for j in zero_cols:
-            cand_rows = [r for r in range(m) if r != i and not f.data[r * n + j]]
-            cand_cols = [c for c in zero_cols if c != j]
-            if best is not None and 2 + len(cand_rows) + len(cand_cols) <= best.weight:
+    all_rows, all_cols = (1 << m) - 1, (1 << n) - 1
+    col_masks = f.transpose().masks
+    for i, mask in enumerate(f.masks):
+        for j in ones(all_cols ^ mask):
+            # the other rows and columns zero at (i, j), as masks until the bound needs more
+            zero_rows, zero_cols = all_rows ^ col_masks[j] ^ 1 << i, all_cols ^ mask ^ 1 << j
+            if best is not None and 2 + zero_rows.bit_count() + zero_cols.bit_count() <= best.weight:
                 continue
+            cand_rows, cand_cols = ones(zero_rows), ones(zero_cols)
             col_index = {c: k for k, c in enumerate(cand_cols)}
-            sub_adj = [
-                [col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows
-            ]
+            sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
             sub_match = bipartite_matching(sub_adj, len(cand_cols))
             sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
             rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
@@ -267,18 +260,15 @@ def decompose_regular(f: BinaryMatrix, k: int) -> list[BinaryMatrix]:
     if any(s != k for s in f.row_sums()) or any(s != k for s in f.col_sums()):
         raise ValueError(f"matrix is not {k}-regular")
     n = f.rows
-    work = list(f.data)
+    adjacency = list(map(ones, f.masks))
     parts: list[BinaryMatrix] = []
     for _ in range(k):
-        adjacency = [[c for c in range(n) if work[r * n + c]] for r in range(n)]
         match_left = bipartite_matching(adjacency, n)
         if any(c < 0 for c in match_left):
             raise RuntimeError("regular matrix lost its perfect matching; this cannot happen")
-        data = [0] * (n * n)
         for r, c in enumerate(match_left):
-            data[r * n + c] = 1
-            work[r * n + c] = 0
-        parts.append(BinaryMatrix(n, n, tuple(data)))
-    if any(work):
+            adjacency[r].remove(c)
+        parts.append(BinaryMatrix.from_masks(n, [1 << c for c in match_left]))
+    if any(adjacency):
         raise RuntimeError("decomposition left ones behind; this cannot happen")
     return parts

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, ones
 from .geometry import Geometry, validate_geometry
 
 DEFAULT_MAX_ORDER = 32
@@ -248,33 +248,18 @@ def build_pg2(q: int, max_order: int = DEFAULT_MAX_ORDER) -> PlaneBundle:
             total = field.add(total, field.mul(ac, xc))
         return total
 
-    lines = []
-    data: list[int] = []
-    for line_triple in triples:
-        members = [j for j, pt in enumerate(triples) if dot(line_triple, pt) == 0]
-        lines.append(members)
-        row = [0] * expected
-        for j in members:
-            row[j] = 1
-        data.extend(row)
+    lines = [[j for j, pt in enumerate(triples) if dot(line_triple, pt) == 0] for line_triple in triples]
     geometry = validate_geometry(expected, lines)
-    if geometry.v != geometry.b or geometry.v != expected:
-        raise RuntimeError("plane construction produced wrong counts; this cannot happen")
-    return PlaneBundle(geometry, BinaryMatrix(expected, expected, tuple(data)), q)
+    return PlaneBundle(geometry, incidence_from_geometry(geometry), q)
 
 
 def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
     """Read rows as lines over column-indexed points and validate the axioms."""
-    lines = [[c for c in range(m.cols) if m.data[r * m.cols + c]] for r in range(m.rows)]
-    return validate_geometry(m.cols, lines)
+    return validate_geometry(m.cols, map(ones, m.masks))
 
 
 def incidence_from_geometry(g: Geometry) -> BinaryMatrix:
     """Inverse of geometry_from_incidence up to index order."""
     if g.b < 1 or g.point_count < 1:
         raise ValueError("incidence matrix needs at least one line and one point")
-    data = [0] * (g.b * g.point_count)
-    for idx, line in enumerate(g.lines):
-        for p in line:
-            data[idx * g.point_count + p] = 1
-    return BinaryMatrix(g.b, g.point_count, tuple(data))
+    return BinaryMatrix.from_masks(g.point_count, g._line_masks)

@@ -80,3 +80,28 @@ def brute_four_independent(point_count: int, lines):
         if all(len(line & set(quad)) <= 2 for line in line_sets):
             return quad
     return None
+
+
+def geometry_axiom_violation(point_count: int, lines):
+    """The first axiom failure as (axiom, witness, message), or None.
+
+    A plain scan with a dict of every covered point pair: lines are
+    normalized to sorted point tuples, then checked one by one for range,
+    size and pairs met twice, and finally every point pair is looked up.
+    """
+    lines = [tuple(sorted(set(line))) for line in lines]
+    pair_seen = {}
+    for idx, line in enumerate(lines):
+        for p in line:
+            if not 0 <= p < point_count:
+                return "point_out_of_range", (idx, p), f"line {idx} uses point {p}, valid range is 0..{point_count - 1}"
+        if len(line) < 2:
+            return "line_too_small", idx, f"line {idx} has {len(line)} points, need at least 2"
+        for pair in combinations(line, 2):
+            if pair in pair_seen:
+                return "pair_on_two_lines", pair, f"points {pair} lie on lines {pair_seen[pair]} and {idx}"
+            pair_seen[pair] = idx
+    for pair in combinations(range(point_count), 2):
+        if pair not in pair_seen:
+            return "pair_on_no_line", pair, f"points {pair} lie on no common line"
+    return None

@@ -8,6 +8,7 @@ from pglatin.binmat import (
     Permutation,
     from_inc_text,
     is_permutation_matrix,
+    ones,
     permute,
     to_inc_text,
 )
@@ -171,3 +172,96 @@ class TestIncText:
     def test_rejects_non_binary_tokens(self):
         with pytest.raises(FormatError):
             from_inc_text("1 2\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty matrix text"),
+        ("\n", "header must be exactly 'rows cols'"),
+        ("2 2\n1 0\n0 x\n", "illegal character 'x' in matrix text"),
+        ("1 2\n1\t0\n", "illegal character '\\t' in matrix text"),
+        ("2\n1 0\n", "header must be exactly 'rows cols'"),
+        ("1 2 3\n1 0\n", "header must be exactly 'rows cols'"),
+        ("0 2\n", "dimensions must be positive"),
+        ("2 0\n", "dimensions must be positive"),
+        ("2 2\n1 0\n", "expected 2 data lines, found 1"),
+        ("2 2\n1 0\n0 1\n1 1\n", "expected 2 data lines, found 3"),
+        ("1 3\n1 0\n", "line 2: expected 3 entries, found 2"),
+        ("1 2\n1 0 1\n", "line 2: expected 2 entries, found 3"),
+        ("2 2\n1 0\n\n", "line 3: expected 2 entries, found 0"),
+        ("1 2\n1 2\n", "line 2: entry must be 0 or 1, found '2'"),
+        ("2 2\n1 1\n0 2\n", "line 3: entry must be 0 or 1, found '2'"),
+        ("1 2\n10 1\n", "line 2: entry must be 0 or 1, found '10'"),
+        ("1 2\n1 10\n", "line 2: entry must be 0 or 1, found '10'"),
+        ("1 1\n01\n", "line 2: entry must be 0 or 1, found '01'"),
+        ("1 2\n01 1\n", "line 2: entry must be 0 or 1, found '01'"),
+    ],
+)
+def test_inc_format_errors_are_pinned(text, message):
+    with pytest.raises(FormatError) as exc:
+        from_inc_text(text)
+    assert str(exc.value) == message
+
+
+def test_bool_and_float_cells_are_written_as_digits():
+    m = BinaryMatrix(1, 2, (True, 1.0))
+    assert to_inc_text(m) == "1 2\n1 1\n"
+    assert from_inc_text(to_inc_text(m)) == m
+    assert BinaryMatrix(2, 2, (False, 1.0, 0.0, True)).to_grid() == [[0, 1], [0, 1]]
+    with pytest.raises(ValueError) as exc:
+        BinaryMatrix(1, 3, (0, 1.5, 2))
+    assert str(exc.value) == "entries must be 0 or 1, found 1.5"
+
+
+def cells_by_reference(m):
+    return [[m[(i, j)] for j in range(m.cols)] for i in range(m.rows)]
+
+
+class TestRowMasks:
+    def test_bit_j_of_row_i_is_cell_i_j(self):
+        m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert m.masks == (0b101, 0b110)
+        assert ones(0b110) == [1, 2] and ones(0) == []
+
+    def test_from_masks_rejects_bad_rows(self):
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_masks(2, ())
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_masks(2, (0b100,))
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_masks(2, (-1,))
+
+    @given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c).map(lambda d: (r, c, d)))))
+    def test_data_round_trips(self, shape):
+        rows, cols, data = shape
+        m = BinaryMatrix(rows, cols, data)
+        assert m.data == tuple(data)
+        assert cells_by_reference(m) == [data[i * cols : (i + 1) * cols] for i in range(rows)]
+
+    @given(small_matrices())
+    def test_from_masks_rebuilds_equal_matrix(self, m):
+        again = BinaryMatrix.from_masks(m.cols, m.masks)
+        assert again == m and hash(again) == hash(m)
+
+    @given(small_matrices())
+    def test_transpose_matches_cells(self, m):
+        grid = cells_by_reference(m)
+        assert cells_by_reference(m.transpose()) == [list(col) for col in zip(*grid)]
+
+    @given(st.data())
+    def test_permute_matches_cells(self, data):
+        m = data.draw(small_matrices())
+        rp = data.draw(permutations_of(m.rows))
+        cp = data.draw(permutations_of(m.cols))
+        moved = [[0] * m.cols for _ in range(m.rows)]
+        for i, row in enumerate(cells_by_reference(m)):
+            for j, value in enumerate(row):
+                moved[rp(i)][cp(j)] = value
+        assert cells_by_reference(permute(m, rp, cp)) == moved
+
+    @given(small_matrices(4, 4))
+    def test_is_permutation_matrix_matches_sums(self, m):
+        expected = m.rows == m.cols and set(m.row_sums()) == {1} and set(m.col_sums()) == {1}
+        assert is_permutation_matrix(m) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import unit_diagonal_squares
+from pglatin import canonical as canonical_module
 from pglatin.binmat import BinaryMatrix, Permutation, permute
 from pglatin.canonical import (
     BlockForm,
@@ -236,6 +238,25 @@ class TestExtract:
         )
         with pytest.raises(ValueError):
             extract_mpls(form)
+
+    def test_canonicalize_then_extract_checks_the_form_once(self, plane_cache, monkeypatch):
+        calls = []
+
+        def counting(bf):
+            calls.append(bf)
+            return verify_block_form(bf)
+
+        monkeypatch.setattr(canonical_module, "verify_block_form", counting)
+        form = canonicalize(plane_cache(3).incidence)
+        extract_mpls(form)
+        extract_mpls(form)
+        assert calls == [form]
+        # a direct call still checks from scratch, and an edited copy is checked again
+        assert canonical_module.verify_block_form(form).ok and len(calls) == 2
+        broken = dataclasses.replace(form, matrix=_flipped(form.matrix, 0))
+        with pytest.raises(ValueError, match="corner block"):
+            extract_mpls(broken)
+        assert calls[-1] is broken
 
 
 class TestReconstruct:
