@@ -39,7 +39,12 @@ class Geometry:
         v = self.point_count
         if v < 0:
             raise ValueError(f"point count must be nonnegative, got {v}")
-        # joined[p]: the points above p already on a line with p
+        # masks hold the ranks of 0 and of the points on lines, so their size follows
+        # the input, not the largest label; below gap, the first label not in used, rank = label
+        used = sorted({0}.union(*self.lines))
+        rank = {p: i for i, p in enumerate(used)}
+        gap = next((i for i, p in enumerate(used) if p != i), len(used))
+        # joined[i]: the ranks above i already on a line with rank i
         joined: dict[int, int] = {}
         masks = []
         for idx, line in enumerate(self.lines):
@@ -54,22 +59,24 @@ class Geometry:
                 raise GeometryError(
                     "line_too_small", idx, f"line {idx} has {len(line)} points, need at least 2"
                 )
-            mask = sum(1 << p for p in line)
-            for p in line:
-                above = mask >> p + 1 << p + 1
-                twice = joined.get(p, 0) & above
+            mask = sum(1 << rank[p] for p in line)
+            for i in map(rank.get, line):
+                above = mask >> i + 1 << i + 1
+                twice = joined.get(i, 0) & above
                 if twice:
-                    pair = (p, ones(twice)[0])
-                    first = next(i for i, m in enumerate(masks) if m >> pair[0] & m >> pair[1] & 1)
+                    j = ones(twice)[0]
+                    first = next(k for k, m in enumerate(masks) if m >> i & m >> j & 1)
+                    pair = (used[i], used[j])
                     raise GeometryError(
                         "pair_on_two_lines", pair, f"points {pair} lie on lines {first} and {idx}"
                     )
-                joined[p] = joined.get(p, 0) | above
+                joined[i] = joined.get(i, 0) | above
             masks.append(mask)
         for p in range(v - 1):
-            # the lowest point above p not yet joined to it
+            # the lowest point above p not yet joined to it; no line holds gap,
+            # so when gap < v the scan stops at p = 0
             missing = ~(joined.get(p, 0) | (2 << p) - 1)
-            q = (missing & -missing).bit_length() - 1
+            q = min((missing & -missing).bit_length() - 1, gap)
             if q < v:
                 raise GeometryError("pair_on_no_line", (p, q), f"points {(p, q)} lie on no common line")
         object.__setattr__(self, "_line_masks", tuple(masks))

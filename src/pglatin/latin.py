@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .binmat import FormatError
 
@@ -100,20 +100,25 @@ def random_latin_square(order: int, rng: random.Random) -> LatinSquare:
     return LatinSquare(tuple(rows))
 
 
-def _agreements(row_a: Sequence[int], row_b: Sequence[int]) -> int:
-    return sum(x == y for x, y in zip(row_a, row_b))
+def _meetings(a: LatinSquare, b: LatinSquare) -> list[list[int]]:
+    """meet[ra][c]: the row of b whose entry at column c equals a's at (ra, c).
+
+    Rows ra and rb agree in meet[ra].count(rb) columns.
+    """
+    if a.order != b.order:
+        raise ValueError(f"orders differ: {a.order} vs {b.order}")
+    row_of = [[0] * (b.order + 1) for _ in range(b.order)]
+    for rb, row in enumerate(b.entries):
+        for c, symbol in enumerate(row):
+            row_of[c][symbol] = rb
+    return [[row_of[c][symbol] for c, symbol in enumerate(row)] for row in a.entries]
 
 
 def projective_pair(a: LatinSquare, b: LatinSquare) -> bool:
     """True when both squares have unit diagonals and any row of a shares
     exactly one position-with-equal-entry with any row of b."""
-    if a.order != b.order:
-        raise ValueError(f"orders differ: {a.order} vs {b.order}")
-    if not a.has_unit_diagonal or not b.has_unit_diagonal:
-        return False
-    return all(
-        _agreements(row_a, row_b) == 1 for row_a in a.entries for row_b in b.entries
-    )
+    table = _meetings(a, b)
+    return a.has_unit_diagonal and b.has_unit_diagonal and all(len(set(m)) == a.order for m in table)
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,11 @@ def verify_mpls(s: MplsSet) -> MplsReport:
     """Check pairwise projectivity; completeness additionally needs order - 1 members."""
     violations: list[str] = []
     for i, j in combinations(range(len(s.squares)), 2):
-        a, b = s.squares[i], s.squares[j]
-        for ra, row_a in enumerate(a.entries):
-            for rb, row_b in enumerate(b.entries):
-                agree = _agreements(row_a, row_b)
+        for ra, meet in enumerate(_meetings(s.squares[i], s.squares[j])):
+            if len(set(meet)) == s.order:
+                continue
+            for rb in range(s.order):
+                agree = meet.count(rb)
                 if agree != 1:
                     violations.append(
                         f"squares {i} and {j}: rows {ra} and {rb} agree in {agree} columns, expected 1"
@@ -221,23 +227,15 @@ def transversals_from_companion(host: LatinSquare, companion: LatinSquare) -> li
     an equal entry; those cells form a transversal of the host, and over
     all s they partition its cells.
     """
-    if host.order != companion.order:
-        raise ValueError(f"orders differ: {host.order} vs {companion.order}")
-    if not projective_pair(host, companion):
-        raise ValueError("host and companion are not a projective pair")
+    table = _meetings(host, companion)
     n = host.order
-    result = []
-    for s in range(n):
-        comp_row = companion.entries[s]
-        placements = []
-        for r in range(n):
-            cells = [c for c in range(n) if host.entries[r][c] == comp_row[c]]
-            if len(cells) != 1:
-                raise RuntimeError("projective pair lost its single agreement; this cannot happen")
-            c = cells[0]
-            placements.append((r, c, host.entries[r][c]))
-        result.append(Transversal(n, tuple(placements)))
-    return result
+    if not (host.has_unit_diagonal and companion.has_unit_diagonal) or any(len(set(m)) != n for m in table):
+        raise ValueError("host and companion are not a projective pair")
+    placements: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for r, (row, meet) in enumerate(zip(host.entries, table)):
+        for c, (symbol, s) in enumerate(zip(row, meet)):
+            placements[s].append((r, c, symbol))
+    return [Transversal(n, tuple(cells)) for cells in placements]
 
 
 @dataclass(frozen=True)

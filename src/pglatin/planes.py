@@ -208,13 +208,13 @@ class FiniteField:
         return self._inv_table[a]
 
 
-def build_field(q: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteField:
+def build_field(q: int) -> FiniteField:
     """GF(q) with the smallest-modulus convention; q must be a prime power."""
     pk = prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    if q > max_order:
-        raise ValueError(f"order {q} exceeds the configured bound {max_order}")
+    if q > DEFAULT_MAX_ORDER:
+        raise ValueError(f"order {q} exceeds the configured bound {DEFAULT_MAX_ORDER}")
     p, k = pk
     return FiniteField(p, k, smallest_irreducible(p, k))
 
@@ -226,7 +226,7 @@ class PlaneBundle:
     order: int
 
 
-def build_pg2(q: int, max_order: int = DEFAULT_MAX_ORDER) -> PlaneBundle:
+def build_pg2(q: int) -> PlaneBundle:
     """The classical projective plane of order q from homogeneous triples.
 
     Points and lines are the nonzero triples over GF(q) scaled so their
@@ -234,22 +234,17 @@ def build_pg2(q: int, max_order: int = DEFAULT_MAX_ORDER) -> PlaneBundle:
     x sits on line a exactly when a0*x0 + a1*x1 + a2*x2 = 0. Incidence
     rows are lines, columns are points.
     """
-    field = build_field(q, max_order)
+    field = build_field(q)
     triples = sorted(
         t for t in product(range(q), repeat=3) if any(t) and t[next(i for i, c in enumerate(t) if c)] == 1
     )
-    expected = q * q + q + 1
-    if len(triples) != expected:
-        raise RuntimeError(f"expected {expected} normalized triples, got {len(triples)}")
-
-    def dot(a: tuple[int, int, int], x: tuple[int, int, int]) -> int:
-        total = 0
-        for ac, xc in zip(a, x):
-            total = field.add(total, field.mul(ac, xc))
-        return total
-
-    lines = [[j for j, pt in enumerate(triples) if dot(line_triple, pt) == 0] for line_triple in triples]
-    geometry = validate_geometry(expected, lines)
+    # every coordinate is a field element, so the tables need no range checks
+    add, mul = field._add_table, field._mul_table
+    lines = []
+    for a0, a1, a2 in triples:
+        m0, m1, m2 = mul[a0], mul[a1], mul[a2]
+        lines.append([j for j, (x0, x1, x2) in enumerate(triples) if not add[add[m0[x0]][m1[x1]]][m2[x2]]])
+    geometry = validate_geometry(len(triples), lines)
     return PlaneBundle(geometry, incidence_from_geometry(geometry), q)
 
 

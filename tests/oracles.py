@@ -73,6 +73,37 @@ def row_agreements(row_a, row_b) -> int:
     return sum(x == y for x, y in zip(row_a, row_b))
 
 
+def mpls_violations(squares):
+    """verify_mpls's violation strings from a plain scan of every row pair.
+
+    squares are row tuples; the order is square pairs i < j, then the rows
+    of square i, then the rows of square j.
+    """
+    violations = []
+    for i, j in combinations(range(len(squares)), 2):
+        for ra, row_a in enumerate(squares[i]):
+            for rb, row_b in enumerate(squares[j]):
+                agree = row_agreements(row_a, row_b)
+                if agree != 1:
+                    violations.append(
+                        f"squares {i} and {j}: rows {ra} and {rb} agree in {agree} columns, expected 1"
+                    )
+    return violations
+
+
+def companion_placements(host, companion):
+    """For each companion row s, the (row, column, symbol) cells where host meets it.
+
+    A cell scan of every host row against companion row s; meant for
+    projective pairs, where each host row yields exactly one cell.
+    """
+    n = len(host)
+    return [
+        [(r, c, host[r][c]) for r in range(n) for c in range(n) if host[r][c] == companion[s][c]]
+        for s in range(n)
+    ]
+
+
 def brute_four_independent(point_count: int, lines):
     """The first 4-subset of points with no three on a common line, or None."""
     line_sets = [set(line) for line in lines]

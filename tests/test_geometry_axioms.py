@@ -115,3 +115,54 @@ def test_no_lines_over_many_points_uses_little_memory():
     assert (exc.value.axiom, exc.value.witness) == ("pair_on_no_line", (0, 1))
     assert str(exc.value) == "points (0, 1) lie on no common line"
     assert peak < 2**20
+
+
+def sparse_cases(count, seed):
+    """Base line systems moved onto sparse labels in increasing order, then mutated.
+
+    The point count runs up to 10**4 while only a few labels are used; label
+    0 and label 1 are each left out now and then.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        base_v, base_lines = rng.choice(BASES)
+        v = rng.choice([base_v + 1, 100, 10**4])
+        labels = sorted(rng.sample(range(v), base_v))
+        if rng.random() < 0.2:  # the lowest labels in use, so only the top ones are missing
+            labels = list(range(base_v))
+        lines = [tuple(labels[p] for p in line) for line in base_lines]
+        for _ in range(rng.randint(0, 2)):
+            v, lines = mutate(v, lines, rng)
+        yield v, lines
+
+
+def test_sparse_labels_agree_with_oracle():
+    outcomes = Counter(check_against_oracle(v, lines) for v, lines in sparse_cases(600, seed=4))
+    for axiom in ("point_out_of_range", "line_too_small", "pair_on_two_lines", "pair_on_no_line"):
+        assert outcomes[axiom] >= 20
+
+
+@pytest.mark.parametrize(
+    "v, lines",
+    [
+        (10**4, [(1, 2), (2, 9999), (1, 9999)]),  # 0 on no line
+        (10**4, [(0, 2), (2, 9999), (0, 9999)]),  # 1 on no line
+        (10**4, [(0, 1, 5000), (1, 5000)]),  # a pair on two lines, far apart
+        (10**4, [(0, 1), (0, 2), (1, 2), (3, 9998), (3, 9999)]),  # 0 joined to all below the gap
+        (8, [(0, 1, 2, 3), (0, 5), (1, 5), (2, 5), (3, 5)]),  # 4 and 6 unused, 5 joined to every used point
+    ],
+)
+def test_sparse_edge_cases_agree_with_oracle(v, lines):
+    check_against_oracle(v, lines)
+
+
+def test_far_point_label_uses_little_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryError) as exc:
+            Geometry(10**8, ((0, 10**8 - 1),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.axiom, exc.value.witness) == ("pair_on_no_line", (0, 1))
+    assert peak < 2**20

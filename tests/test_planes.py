@@ -116,8 +116,6 @@ class TestFiniteField:
             build_field(6)
         with pytest.raises(ValueError):
             build_field(37)
-        with pytest.raises(ValueError):
-            build_field(27, max_order=16)
 
 
 class TestBuildPg2:
