@@ -1,7 +1,6 @@
 """Maximum independent ones, maximum all-zero blocks, and the duality between them.
 
-Works at desk scale; the deterministic augmenting-path search is plenty fast
-for the matrix sizes this library handles.
+Deterministic augmenting paths; a degree bound prunes the zero-block search.
 """
 
 from __future__ import annotations
@@ -105,7 +104,10 @@ class ZeroBlockWitness:
 
 def max_independent_ones(f: BinaryMatrix) -> MatchingWitness:
     """Largest set of ones with no two in one row or column."""
-    match_left = bipartite_matching(list(map(ones, f.masks)), f.cols)
+    return _matching_witness(bipartite_matching(list(map(ones, f.masks)), f.cols))
+
+
+def _matching_witness(match_left: Sequence[int]) -> MatchingWitness:
     pairs = tuple((r, c) for r, c in enumerate(match_left) if c >= 0)
     return MatchingWitness(len(pairs), pairs)
 
@@ -143,27 +145,46 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     """A zero submatrix maximizing rows + cols, or None when f has no zero.
 
     Both selections must be nonempty. The unconstrained optimum rows + cols
-    = m + n - (maximum matching on ones); when that optimum is achievable
-    only one-sided, each zero cell is forced into the selection in turn and
-    the remainder re-solved, which is exact for the two-sided maximum.
+    = m + n - (maximum matching on ones); when it is only one-sided, each
+    zero cell (i, j) is forced in turn, weighing 2 + a + b - nu for the a x b
+    remainder with maximum matching nu. A remainder with e ones and degrees
+    at most D splits into D matchings (Konig), so nu >= ceil(e / D); a cell
+    whose bound cannot beat the best so far is skipped, and since only a
+    strictly heavier cell replaces the best, the witness is the full scan's.
     """
-    m, n = f.rows, f.cols
-    if all(mask.bit_count() == n for mask in f.masks):
-        return None
     adjacency = list(map(ones, f.masks))
-    match_left = bipartite_matching(adjacency, n)
+    return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
+
+
+def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[int]) -> ZeroBlockWitness | None:
+    """max_zero_submatrix from the ones of f and a maximum matching on them."""
+    m, n = f.rows, f.cols
     rows_in, cols_in = _independent_selection(adjacency, n, match_left)
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
 
-    best: ZeroBlockWitness | None = None
+    best, weight = None, 0
     all_rows, all_cols = (1 << m) - 1, (1 << n) - 1
-    col_masks = f.transpose().masks
-    for i, mask in enumerate(f.masks):
+    masks, col_masks = f.masks, f.transpose().masks
+    col_ones = list(map(ones, col_masks))
+    # no row (column) of a remainder forcing row i (column j) holds more ones
+    row_deg = [max((other & ~mask).bit_count() for other in masks) for mask in masks]
+    col_deg = [max((other & ~mask).bit_count() for other in col_masks) for mask in col_masks]
+    for i, mask in enumerate(masks):
+        zero_col_ones = sum(map(len, col_ones)) - sum(len(col_ones[c]) for c in adjacency[i])
         for j in ones(all_cols ^ mask):
             # the other rows and columns zero at (i, j), as masks until the bound needs more
             zero_rows, zero_cols = all_rows ^ col_masks[j] ^ 1 << i, all_cols ^ mask ^ 1 << j
-            if best is not None and 2 + zero_rows.bit_count() + zero_cols.bit_count() <= best.weight:
+            a, b = zero_rows.bit_count(), zero_cols.bit_count()
+            if 2 + a + b <= weight:
+                continue
+            # the remainder's ones, counted over its rows or over the rows it leaves out
+            if a <= m - a:
+                e = sum((masks[r] & zero_cols).bit_count() for r in ones(zero_rows))
+            else:
+                e = zero_col_ones - len(col_ones[j]) - sum((masks[r] & zero_cols).bit_count() for r in col_ones[j])
+            delta = max(row_deg[i], col_deg[j], 1)
+            if 2 + a + b - (e + delta - 1) // delta <= weight:
                 continue
             cand_rows, cand_cols = ones(zero_rows), ones(zero_cols)
             col_index = {c: k for k, c in enumerate(cand_cols)}
@@ -173,10 +194,8 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
             rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
             cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
             candidate = ZeroBlockWitness(rows_sel, cols_sel)
-            if best is None or candidate.weight > best.weight:
-                best = candidate
-    if best is None:
-        raise RuntimeError("zero entries present but no zero block found")
+            if candidate.weight > weight:
+                best, weight = candidate, candidate.weight
     return best
 
 
@@ -221,8 +240,9 @@ def duality_report(f: BinaryMatrix) -> DualityReport:
     an implementation bug and raises RuntimeError.
     """
     m, n = f.rows, f.cols
-    v_wit = max_independent_ones(f)
-    w_wit = max_zero_submatrix(f)
+    adjacency = list(map(ones, f.masks))
+    match_left = bipartite_matching(adjacency, n)
+    v_wit, w_wit = _matching_witness(match_left), _zero_block(f, adjacency, match_left)
     v = v_wit.size
     w = 0 if w_wit is None else w_wit.weight
     square_rule = Biconditional(v == n, w <= n) if m == n else None

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and independent of the package
 internals: subset enumeration and permutation backtracking only. Slow but
-trustworthy at the sizes the tests use.
+trustworthy at the sizes the tests use. The one exception is
+per_cell_zero_block, which takes its matchings from the public
+bipartite_matching so that its witness can be compared tuple for tuple.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def brute_max_independent_ones(rows: int, cols: int, data) -> int:
@@ -136,3 +138,56 @@ def geometry_axiom_violation(point_count: int, lines):
         if pair not in pair_seen:
             return "pair_on_no_line", pair, f"points {pair} lie on no common line"
     return None
+
+
+def _alternating_cover(adjacency, n_cols, match_left):
+    """Rows reached from the unmatched rows by alternating paths, and the columns none reaches."""
+    owner = {c: r for r, c in enumerate(match_left) if c >= 0}
+    reach_rows = {r for r, c in enumerate(match_left) if c < 0}
+    reach_cols = set()
+    frontier = list(reach_rows)
+    while frontier:
+        for c in adjacency[frontier.pop()]:
+            if c not in reach_cols:
+                reach_cols.add(c)
+                if c in owner and owner[c] not in reach_rows:
+                    reach_rows.add(owner[c])
+                    frontier.append(owner[c])
+    return sorted(reach_rows), [c for c in range(n_cols) if c not in reach_cols]
+
+
+def per_cell_zero_block(rows: int, cols: int, data):
+    """max_zero_submatrix's witness as (rows, cols), or None, by the unpruned scan.
+
+    When the largest zero cover from one maximum matching is one-sided,
+    every zero cell is forced in turn, in row-major order, and its remainder
+    solved by a fresh matching; a strictly heavier cell replaces the best.
+    The matchings come from the package's public bipartite_matching, so the
+    witness is the package's own, tuple for tuple, not merely as heavy.
+    """
+    from pglatin.matching import bipartite_matching
+
+    def cell(r, c):
+        return data[r * cols + c]
+
+    adjacency = [[c for c in range(cols) if cell(r, c)] for r in range(rows)]
+    top_rows, top_cols = _alternating_cover(adjacency, cols, bipartite_matching(adjacency, cols))
+    if top_rows and top_cols:
+        return tuple(top_rows), tuple(top_cols)
+    best = None
+    for i, j in product(range(rows), range(cols)):
+        if cell(i, j):
+            continue
+        cand_rows = [r for r in range(rows) if r != i and not cell(r, j)]
+        cand_cols = [c for c in range(cols) if c != j and not cell(i, c)]
+        sub_adj = [[k for k, c in enumerate(cand_cols) if cell(r, c)] for r in cand_rows]
+        sub_rows, sub_cols = _alternating_cover(
+            sub_adj, len(cand_cols), bipartite_matching(sub_adj, len(cand_cols))
+        )
+        found = (
+            tuple(sorted([i] + [cand_rows[r] for r in sub_rows])),
+            tuple(sorted([j] + [cand_cols[c] for c in sub_cols])),
+        )
+        if best is None or len(found[0]) + len(found[1]) > len(best[0]) + len(best[1]):
+            best = found
+    return best
