@@ -151,6 +151,9 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     at most D splits into D matchings (Konig), so nu >= ceil(e / D); a cell
     whose bound cannot beat the best so far is skipped, and since only a
     strictly heavier cell replaces the best, the witness is the full scan's.
+    e is exact, not estimated: every remainder row r is zero at the forced
+    column j, so it holds exactly the ones of r outside row i's, a count
+    taken once per row i and shared by all its zero cells.
     """
     adjacency = list(map(ones, f.masks))
     return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
@@ -167,25 +170,19 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     all_rows, all_cols = (1 << m) - 1, (1 << n) - 1
     masks, col_masks = f.masks, f.transpose().masks
     col_ones = list(map(ones, col_masks))
-    # no row (column) of a remainder forcing row i (column j) holds more ones
-    row_deg = [max((other & ~mask).bit_count() for other in masks) for mask in masks]
+    # no column of a remainder forcing column j holds more ones than col_deg[j]
     col_deg = [max((other & ~mask).bit_count() for other in col_masks) for mask in col_masks]
     for i, mask in enumerate(masks):
-        zero_col_ones = sum(map(len, col_ones)) - sum(len(col_ones[c]) for c in adjacency[i])
+        # a remainder row r is zero at the forced column, so it holds exactly overlap[r] ones
+        overlap = [(other & ~mask).bit_count() for other in masks]
+        total, row_deg, b = sum(overlap), max(overlap), n - 1 - len(adjacency[i])
         for j in ones(all_cols ^ mask):
-            # the other rows and columns zero at (i, j), as masks until the bound needs more
-            zero_rows, zero_cols = all_rows ^ col_masks[j] ^ 1 << i, all_cols ^ mask ^ 1 << j
-            a, b = zero_rows.bit_count(), zero_cols.bit_count()
-            if 2 + a + b <= weight:
-                continue
-            # the remainder's ones, counted over its rows or over the rows it leaves out
-            if a <= m - a:
-                e = sum((masks[r] & zero_cols).bit_count() for r in ones(zero_rows))
-            else:
-                e = zero_col_ones - len(col_ones[j]) - sum((masks[r] & zero_cols).bit_count() for r in col_ones[j])
-            delta = max(row_deg[i], col_deg[j], 1)
+            a = m - 1 - len(col_ones[j])
+            e = total - sum(map(overlap.__getitem__, col_ones[j]))
+            delta = max(row_deg, col_deg[j], 1)
             if 2 + a + b - (e + delta - 1) // delta <= weight:
                 continue
+            zero_rows, zero_cols = all_rows ^ col_masks[j] ^ 1 << i, all_cols ^ mask ^ 1 << j
             cand_rows, cand_cols = ones(zero_rows), ones(zero_cols)
             col_index = {c: k for k, c in enumerate(cand_cols)}
             sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
@@ -236,8 +233,10 @@ def duality_report(f: BinaryMatrix) -> DualityReport:
 
     For square matrices: v = n exactly when w <= n. In general: v equals
     min(m, n) exactly when w <= max(m, n), equivalently v falls short
-    exactly when some zero block exceeds max(m, n). A violation would mean
-    an implementation bug and raises RuntimeError.
+    exactly when some zero block exceeds max(m, n). Since v <= min(m, n),
+    the strict rule is the minmax rule negated on both sides and the square
+    rule is the minmax rule at m = n, so one check covers all three. A
+    violation would mean an implementation bug and raises RuntimeError.
     """
     m, n = f.rows, f.cols
     adjacency = list(map(ones, f.masks))
@@ -245,12 +244,12 @@ def duality_report(f: BinaryMatrix) -> DualityReport:
     v_wit, w_wit = _matching_witness(match_left), _zero_block(f, adjacency, match_left)
     v = v_wit.size
     w = 0 if w_wit is None else w_wit.weight
-    square_rule = Biconditional(v == n, w <= n) if m == n else None
     minmax_rule = Biconditional(v == min(m, n), w <= max(m, n))
-    strict_rule = Biconditional(v < min(m, n), w > max(m, n))
-    for name, rule in (("square", square_rule), ("minmax", minmax_rule), ("strict", strict_rule)):
-        if rule is not None and not rule.holds:
-            raise RuntimeError(f"duality {name} rule failed on {m}x{n} matrix: v={v}, w={w}")
+    if not minmax_rule.holds:
+        name = "square" if m == n else "minmax"
+        raise RuntimeError(f"duality {name} rule failed on {m}x{n} matrix: v={v}, w={w}")
+    square_rule = minmax_rule if m == n else None
+    strict_rule = Biconditional(not minmax_rule.lhs, not minmax_rule.rhs)
     return DualityReport(
         rows=m,
         cols=n,

@@ -210,11 +210,11 @@ class FiniteField:
 
 def build_field(q: int) -> FiniteField:
     """GF(q) with the smallest-modulus convention; q must be a prime power."""
+    if q > DEFAULT_MAX_ORDER:
+        raise ValueError(f"order {q} exceeds the configured bound {DEFAULT_MAX_ORDER}")
     pk = prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    if q > DEFAULT_MAX_ORDER:
-        raise ValueError(f"order {q} exceeds the configured bound {DEFAULT_MAX_ORDER}")
     p, k = pk
     return FiniteField(p, k, smallest_irreducible(p, k))
 

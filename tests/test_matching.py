@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_max_independent_ones, brute_max_zero_weight
 from pglatin.binmat import BinaryMatrix, is_permutation_matrix
 from pglatin.matching import (
+    Biconditional,
     MatchingWitness,
     ZeroBlockWitness,
     bipartite_matching,
@@ -169,6 +170,23 @@ class TestDualityReport:
         r = duality_report(f)
         assert r.v_witness.size == r.v
         assert r.w_witness.weight == r.w
+
+    def test_rule_fields_match_their_formulas(self):
+        rng = random.Random(6)
+        inputs = [BinaryMatrix(3, 3, cells) for cells in product((0, 1), repeat=9)]
+        for _ in range(300):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            density = rng.random()
+            inputs.append(BinaryMatrix(m, n, tuple(int(rng.random() < density) for _ in range(m * n))))
+        short_of_min = 0
+        for f in inputs:
+            r = duality_report(f)
+            m, n, v, w = f.rows, f.cols, r.v, r.w
+            assert r.square_rule == (Biconditional(v == n, w <= n) if m == n else None)
+            assert r.minmax_rule == Biconditional(v == min(m, n), w <= max(m, n))
+            assert r.strict_rule == Biconditional(v < min(m, n), w > max(m, n))
+            short_of_min += m != n and v < min(m, n)
+        assert short_of_min > 0
 
 
 class TestDecomposeRegular:

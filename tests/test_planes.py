@@ -116,6 +116,9 @@ class TestFiniteField:
             build_field(6)
         with pytest.raises(ValueError):
             build_field(37)
+        # the bound is checked before the order is factored
+        with pytest.raises(ValueError, match="exceeds the configured bound 32"):
+            build_field(2**61 - 1)
 
 
 class TestBuildPg2:
