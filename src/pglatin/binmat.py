@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from struct import unpack
 from typing import Iterable, Sequence
 
@@ -102,7 +103,7 @@ class BinaryMatrix:
     def _cells(self, mask: int) -> bytes:
         return format(mask, f"0{self.cols}b")[::-1].encode().translate(_FROM_DIGITS)
 
-    @property
+    @cached_property
     def data(self) -> tuple[int, ...]:
         return tuple(b"".join(map(self._cells, self.masks)))
 

@@ -1,6 +1,7 @@
 """Maximum independent ones, maximum all-zero blocks, and the duality between them.
 
-Deterministic augmenting paths; a degree bound prunes the zero-block search.
+Deterministic augmenting paths. The zero-block search prunes with a degree
+bound and with the global matching, whose pairs also seed each solved cell.
 """
 
 from __future__ import annotations
@@ -11,26 +12,31 @@ from typing import Sequence
 from .binmat import BinaryMatrix, ones
 
 
-def bipartite_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> list[int]:
+def bipartite_matching(
+    adjacency: Sequence[Sequence[int]], right_size: int, partial: Sequence[int] | None = None
+) -> list[int]:
     """Maximum bipartite matching via augmenting paths.
 
-    adjacency[i] lists the right-side vertices joined to left vertex i.
-    Left vertices are processed in increasing order and neighbours in list
-    order, so the result is deterministic. Returns the left-to-right
+    adjacency[i] lists the right-side vertices joined to left vertex i;
+    partial, a matching in the returned form, is copied and grown from its
+    unmatched left vertices. Left vertices go in increasing order and
+    neighbours in list order, so the result is deterministic. Failed
+    searches share one visited list: a failed search changes nothing, and no
+    column it visited leads on to a free one. Returns the left-to-right
     assignment with -1 for unmatched left vertices.
     """
-    n_left = len(adjacency)
-    match_left = [-1] * n_left
+    match_left = [-1] * len(adjacency) if partial is None else list(partial)
     match_right = [-1] * right_size
+    for r, c in enumerate(match_left):
+        if c >= 0:
+            match_right[c] = r
 
-    def augment(start: int) -> bool:
-        seen = [False] * right_size
+    def augment(start: int, seen: list[bool]) -> bool:
         came_from: dict[int, int] = {}
         stack = [start]
         iters = {start: iter(adjacency[start])}
         while stack:
             r = stack[-1]
-            advanced = False
             for c in iters[r]:
                 if seen[c]:
                     continue
@@ -49,14 +55,15 @@ def bipartite_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> l
                         c = next_c
                 stack.append(owner)
                 iters[owner] = iter(adjacency[owner])
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
         return False
 
-    for r in range(n_left):
-        augment(r)
+    seen = [False] * right_size
+    for r, c in enumerate(match_left):
+        if c < 0 and augment(r, seen):
+            seen = [False] * right_size
     return match_left
 
 
@@ -153,7 +160,11 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     strictly heavier cell replaces the best, the witness is the full scan's.
     e is exact, not estimated: every remainder row r is zero at the forced
     column j, so it holds exactly the ones of r outside row i's, a count
-    taken once per row i and shared by all its zero cells.
+    taken once per row i and shared by all its zero cells. The L global
+    matching pairs with row zero at j and column zero in row i lie in the
+    remainder, so nu >= L, and a solved cell grows them into a maximum
+    matching. The rows alternating paths reach from unmatched rows are the
+    same for every maximum matching (Dulmage-Mendelsohn), and so is the witness.
     """
     adjacency = list(map(ones, f.masks))
     return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
@@ -172,21 +183,28 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     col_ones = list(map(ones, col_masks))
     # no column of a remainder forcing column j holds more ones than col_deg[j]
     col_deg = [max((other & ~mask).bit_count() for other in col_masks) for mask in col_masks]
+    partner = {c: 1 << r for r, c in enumerate(match_left) if c >= 0}
+    matched_rows = sum(partner.values())
     for i, mask in enumerate(masks):
         # a remainder row r is zero at the forced column, so it holds exactly overlap[r] ones
         overlap = [(other & ~mask).bit_count() for other in masks]
         total, row_deg, b = sum(overlap), max(overlap), n - 1 - len(adjacency[i])
+        # matched rows whose partner is a zero of row i; those zero at j keep their pair
+        kept = matched_rows ^ sum(partner.get(c, 0) for c in adjacency[i])
         for j in ones(all_cols ^ mask):
             a = m - 1 - len(col_ones[j])
             e = total - sum(map(overlap.__getitem__, col_ones[j]))
             delta = max(row_deg, col_deg[j], 1)
             if 2 + a + b - (e + delta - 1) // delta <= weight:
                 continue
-            zero_rows, zero_cols = all_rows ^ col_masks[j] ^ 1 << i, all_cols ^ mask ^ 1 << j
-            cand_rows, cand_cols = ones(zero_rows), ones(zero_cols)
+            zero_rows = all_rows ^ col_masks[j] ^ 1 << i
+            if 2 + a + b - (kept & zero_rows).bit_count() <= weight:
+                continue
+            cand_rows, cand_cols = ones(zero_rows), ones(all_cols ^ mask ^ 1 << j)
             col_index = {c: k for k, c in enumerate(cand_cols)}
             sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
-            sub_match = bipartite_matching(sub_adj, len(cand_cols))
+            warm = [col_index.get(match_left[r], -1) for r in cand_rows]
+            sub_match = bipartite_matching(sub_adj, len(cand_cols), warm)
             sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
             rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
             cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))

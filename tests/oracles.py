@@ -1,10 +1,12 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately naive and independent of the package
-internals: subset enumeration and permutation backtracking only. Slow but
-trustworthy at the sizes the tests use. The one exception is
-per_cell_zero_block, which takes its matchings from the public
-bipartite_matching so that its witness can be compared tuple for tuple.
+internals: subset enumeration, permutation backtracking and a plain
+augmenting-path matching. Slow but trustworthy at the sizes the tests use.
+augmenting_path_matching follows the same deterministic search order as the
+package's bipartite_matching, from an empty matching with a fresh visited
+list per search, so its matchings and per_cell_zero_block's witnesses can be
+compared with the package's tuple for tuple.
 """
 
 from itertools import combinations, permutations, product
@@ -140,6 +142,51 @@ def geometry_axiom_violation(point_count: int, lines):
     return None
 
 
+def augmenting_path_matching(adjacency, right_size):
+    """Maximum matching, rows in increasing order, neighbours in list order.
+
+    Every search starts from an empty visited list; returns each row's
+    column, or -1 for an unmatched row.
+    """
+    match_left = [-1] * len(adjacency)
+    match_right = [-1] * right_size
+
+    def augment(start):
+        seen = [False] * right_size
+        came_from = {}
+        stack = [start]
+        iters = {start: iter(adjacency[start])}
+        while stack:
+            r = stack[-1]
+            advanced = False
+            for c in iters[r]:
+                if seen[c]:
+                    continue
+                seen[c] = True
+                came_from[c] = r
+                owner = match_right[c]
+                if owner < 0:
+                    while True:
+                        prev_owner = came_from[c]
+                        next_c = match_left[prev_owner]
+                        match_left[prev_owner] = c
+                        match_right[c] = prev_owner
+                        if prev_owner == start:
+                            return True
+                        c = next_c
+                stack.append(owner)
+                iters[owner] = iter(adjacency[owner])
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+        return False
+
+    for r in range(len(adjacency)):
+        augment(r)
+    return match_left
+
+
 def _alternating_cover(adjacency, n_cols, match_left):
     """Rows reached from the unmatched rows by alternating paths, and the columns none reaches."""
     owner = {c: r for r, c in enumerate(match_left) if c >= 0}
@@ -162,16 +209,16 @@ def per_cell_zero_block(rows: int, cols: int, data):
     When the largest zero cover from one maximum matching is one-sided,
     every zero cell is forced in turn, in row-major order, and its remainder
     solved by a fresh matching; a strictly heavier cell replaces the best.
-    The matchings come from the package's public bipartite_matching, so the
-    witness is the package's own, tuple for tuple, not merely as heavy.
+    The matchings come from augmenting_path_matching, whose search order is
+    the package's, so the witness is compared tuple for tuple, not merely by
+    weight.
     """
-    from pglatin.matching import bipartite_matching
 
     def cell(r, c):
         return data[r * cols + c]
 
     adjacency = [[c for c in range(cols) if cell(r, c)] for r in range(rows)]
-    top_rows, top_cols = _alternating_cover(adjacency, cols, bipartite_matching(adjacency, cols))
+    top_rows, top_cols = _alternating_cover(adjacency, cols, augmenting_path_matching(adjacency, cols))
     if top_rows and top_cols:
         return tuple(top_rows), tuple(top_cols)
     best = None
@@ -182,7 +229,7 @@ def per_cell_zero_block(rows: int, cols: int, data):
         cand_cols = [c for c in range(cols) if c != j and not cell(i, c)]
         sub_adj = [[k for k, c in enumerate(cand_cols) if cell(r, c)] for r in cand_rows]
         sub_rows, sub_cols = _alternating_cover(
-            sub_adj, len(cand_cols), bipartite_matching(sub_adj, len(cand_cols))
+            sub_adj, len(cand_cols), augmenting_path_matching(sub_adj, len(cand_cols))
         )
         found = (
             tuple(sorted([i] + [cand_rows[r] for r in sub_rows])),

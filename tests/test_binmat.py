@@ -241,6 +241,14 @@ class TestRowMasks:
         assert cells_by_reference(m) == [data[i * cols : (i + 1) * cols] for i in range(rows)]
 
     @given(small_matrices())
+    def test_data_is_built_once_and_stays_out_of_equality(self, m):
+        fresh = BinaryMatrix.from_masks(m.cols, m.masks)
+        first = m.data
+        assert m.data is first
+        assert list(first) == [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+        assert fresh == m and hash(fresh) == hash(m)
+
+    @given(small_matrices())
     def test_from_masks_rebuilds_equal_matrix(self, m):
         again = BinaryMatrix.from_masks(m.cols, m.masks)
         assert again == m and hash(again) == hash(m)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize(
     "script, args, line",
     [
@@ -16,10 +27,16 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args, line):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines()
+    assert line in run_script(script, args).splitlines()
+
+
+def test_bench_duality_quick_run(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"parent": {}}\n')
+    result = json.loads(run_script("bench_duality.py", ["--quick", "--label", "change", "--out", str(out)]))
+    groups = result["groups"]
+    assert list(groups) == ["random 16-40", "PG(2, 2)", "PG(2, 3)"]
+    assert groups["random 16-40"]["inputs"] == 8 and groups["random 16-40"]["matchings_per_report"] > 1
+    # a plane's report solves its global matching and one forced cell
+    assert groups["PG(2, 3)"]["matchings_per_report"] == 2
+    assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
