@@ -4,9 +4,9 @@
 Two groups: a seeded population of 160 random matrices with sides 16..40,
 40 at each density 0.1 / 0.3 / 0.5 / 0.7, and seeded relabellings of
 PG(2, q) for q = 9, 16, 25. Each group is timed as one loop over its
-inputs, and the median of the repeats is reported. Matchings are counted
-by wrapping matching.bipartite_matching, the name every matching the
-search solves goes through, in a separate untimed pass.
+inputs, and the median of REPEATS runs (one with --quick) is reported.
+Matchings are counted by wrapping matching.bipartite_matching, the name
+every matching the search solves goes through, in a separate untimed pass.
 
 The result is printed as JSON; with --out it is also stored in that file
 under --label, next to the labels already there, so one file can hold a
@@ -28,6 +28,7 @@ from pglatin.binmat import BinaryMatrix, Permutation, permute
 from pglatin.planes import build_pg2
 
 DENSITIES = (0.1, 0.3, 0.5, 0.7)
+REPEATS = 3
 
 
 def random_group(per_density: int, seed: int) -> list[BinaryMatrix]:
@@ -95,12 +96,11 @@ def source_sha() -> str | None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="8 random matrices, q = 2 and 3, one run each")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", default="current")
     parser.add_argument("--out", type=Path, default=None, metavar="BENCH.json")
     args = parser.parse_args()
-    per_density, orders, repeats = (2, (2, 3), 1) if args.quick else (40, (9, 16, 25), args.repeats)
+    per_density, orders, repeats = (2, (2, 3), 1) if args.quick else (40, (9, 16, 25), REPEATS)
     rng = random.Random(args.seed)
     groups = {"random 16-40": random_group(per_density, args.seed)}
     groups.update((f"PG(2, {q})", [relabelled_plane(q, rng)]) for q in orders)

@@ -18,8 +18,9 @@ def bipartite_matching(
     """Maximum bipartite matching via augmenting paths.
 
     adjacency[i] lists the right-side vertices joined to left vertex i;
-    partial, a matching in the returned form, is copied and grown from its
-    unmatched left vertices. Left vertices go in increasing order and
+    partial, which must be a matching of adjacency (distinct columns, each
+    pair an edge; unchecked) in the returned form, is copied and grown from
+    its unmatched left vertices. Left vertices go in increasing order and
     neighbours in list order, so the result is deterministic. Failed
     searches share one visited list: a failed search changes nothing, and no
     column it visited leads on to a free one. Returns the left-to-right

@@ -11,9 +11,9 @@ import random
 import pytest
 
 from oracles import augmenting_path_matching
-from pglatin.binmat import BinaryMatrix, Permutation, ones, permute
+from pglatin.binmat import BinaryMatrix, ones
 from pglatin.matching import _independent_selection, bipartite_matching, decompose_regular
-from pglatin.planes import build_pg2
+from samples import random_matrix, relabelled_plane
 
 
 def adjacency_of(f: BinaryMatrix) -> list[list[int]]:
@@ -23,18 +23,6 @@ def adjacency_of(f: BinaryMatrix) -> list[list[int]]:
 def assert_same_matching(f: BinaryMatrix) -> None:
     adjacency = adjacency_of(f)
     assert bipartite_matching(adjacency, f.cols) == augmenting_path_matching(adjacency, f.cols), f.to_grid()
-
-
-def random_matrix(rng: random.Random, rows: int, cols: int, density: float) -> BinaryMatrix:
-    return BinaryMatrix(rows, cols, tuple(int(rng.random() < density) for _ in range(rows * cols)))
-
-
-def relabelled_plane(q: int, rng: random.Random) -> BinaryMatrix:
-    incidence = build_pg2(q).incidence
-    rows, cols = list(range(incidence.rows)), list(range(incidence.cols))
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    return permute(incidence, Permutation(tuple(rows)), Permutation(tuple(cols)))
 
 
 def random_partial_matching(adjacency, right_size: int, rng: random.Random) -> list[int]:
