@@ -93,6 +93,13 @@ def source_sha() -> str | None:
     return sha.stdout.strip() + ("+edits" if dirty.stdout.strip() else "")
 
 
+def store(path: Path, label: str, result: dict) -> None:
+    """Write result into the JSON file at path under label, keeping its other labels."""
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    stored[label] = result
+    path.write_text(json.dumps(stored, indent=2) + "\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="8 random matrices, q = 2 and 3, one run each")
@@ -113,9 +120,7 @@ def main() -> None:
     }
     print(json.dumps(result, indent=2))
     if args.out is not None:
-        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
-        stored[args.label] = result
-        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+        store(args.out, args.label, result)
 
 
 if __name__ == "__main__":

@@ -86,10 +86,12 @@ def _read_matrix(path: Path) -> BinaryMatrix:
 
 def _load_mpls_dir(path: Path) -> MplsSet:
     found = {}
-    for entry in path.iterdir():
+    for entry in sorted(path.iterdir()):
         match = re.fullmatch(r"L(\d+)\.ls", entry.name)
         if match:
-            found[int(match.group(1))] = entry
+            number = int(match.group(1))
+            if found.setdefault(number, entry) != entry:
+                raise FormatError(f"{found[number].name} and {entry.name} both hold square {number}")
     if not found:
         raise FormatError(f"no L<i>.ls files in {path}")
     count = len(found)

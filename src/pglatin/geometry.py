@@ -151,11 +151,16 @@ class GeometryReport:
     k: int | None
 
 
-def structure_report(g: Geometry) -> GeometryReport:
+def _point_degrees(g: Geometry) -> list[int]:
     degrees = [0] * g.point_count
     for line in g.lines:
         for p in line:
             degrees[p] += 1
+    return degrees
+
+
+def structure_report(g: Geometry) -> GeometryReport:
+    degrees = _point_degrees(g)
     if g.point_count == 0:
         is_regular, r = True, 0
     else:
@@ -199,6 +204,10 @@ class PlaneVerdict:
     first_def: regular, uniform, r = k, and four independent points exist.
     second_def: any two distinct lines meet, and four independent points
     exist. order is k - 1 and present only when both hold.
+
+    Two lines of a validated geometry share at most one point, so all b
+    lines meet pairwise exactly when sum(r_p * (r_p - 1)) = b * (b - 1),
+    r_p being the number of lines through point p.
     """
 
     first_def: bool
@@ -215,7 +224,7 @@ def plane_check(g: Geometry) -> PlaneVerdict:
         and rep.r == rep.k
         and quad is not None
     )
-    second = quad is not None and all(a & b for a, b in combinations(g._line_masks, 2))
+    second = quad is not None and sum(r * (r - 1) for r in _point_degrees(g)) == g.b * (g.b - 1)
     order = None
     if first and second:
         assert rep.k is not None

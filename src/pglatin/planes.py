@@ -44,22 +44,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
 # polynomials over Z_p as coefficient tuples, lowest power first, trimmed
 
 
-def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Remainder of a divided by m; m must be monic."""
     rem = list(a)
@@ -118,8 +102,12 @@ class FiniteField:
 
     Element e stands for the polynomial whose coefficients are the base-p
     digits of e, least significant first. Addition and multiplication
-    tables are built eagerly and the inverse table is cross-checked at
-    construction, so lookups afterwards cannot fail silently.
+    tables are built eagerly, so lookups afterwards cannot fail silently.
+    Addition is digit-wise mod p. Each product row follows from an earlier
+    one: e*b = (e - 1)*b + b when the lowest digit of e is nonzero, and
+    e*b = x*((e // p)*b) otherwise. Multiplying by x shifts the digits up
+    one place, and the digit carried out at x^k is cancelled with the
+    monic modulus. The inverse of a is the column holding 1 in row a.
     """
 
     characteristic: int
@@ -139,29 +127,20 @@ class FiniteField:
         if not is_irreducible(self.modulus, p):
             raise ValueError(f"modulus {self.modulus!r} is reducible over Z_{p}")
         q = p**k
-        add = []
-        mul = []
-        for a in range(q):
-            pa = self._decode(a)
-            add_row = []
-            mul_row = []
-            for b in range(q):
-                pb = self._decode(b)
-                add_row.append(self._encode([(x + y) % p for x, y in zip(pa, pb)]))
-                mul_row.append(self._encode(_poly_mod(_poly_mul(_poly_trim(list(pa)), _poly_trim(list(pb)), p), self.modulus, p)))
-            add.append(tuple(add_row))
-            mul.append(tuple(mul_row))
-        inv: list[int | None] = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise RuntimeError(f"element {a} has no inverse; modulus cannot be irreducible")
-        object.__setattr__(self, "_add_table", tuple(add))
+        digits = [self._decode(e) for e in range(q)]
+        add = tuple(tuple(self._encode([(x + y) % p for x, y in zip(da, db)]) for db in digits) for da in digits)
+        # x^k = -(m_0 + ... + m_{k-1} x^(k-1)): x*v is v's lower digits shifted up plus carry[top digit]
+        top = p ** (k - 1)
+        carry = [self._encode([-t * c % p for c in self.modulus[:-1]]) for t in range(p)]
+        mul = [(0,) * q]
+        for e in range(1, q):
+            if e % p:
+                mul.append(tuple(add[v][b] for b, v in enumerate(mul[e - 1])))
+            else:
+                mul.append(tuple(add[v % top * p][carry[v // top]] for v in mul[e // p]))
+        object.__setattr__(self, "_add_table", add)
         object.__setattr__(self, "_mul_table", tuple(mul))
-        object.__setattr__(self, "_inv_table", tuple(x if x is not None else 0 for x in inv))
+        object.__setattr__(self, "_inv_table", (0,) + tuple(row.index(1) for row in mul[1:]))
 
     @property
     def order(self) -> int:
@@ -191,8 +170,7 @@ class FiniteField:
 
     def neg(self, a: int) -> int:
         self._check(a)
-        p = self.characteristic
-        return self._encode([(p - c) % p for c in self._decode(a)])
+        return self._add_table[a].index(0)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -233,17 +211,26 @@ def build_pg2(q: int) -> PlaneBundle:
     first nonzero coordinate is one, listed in lexicographic order; point
     x sits on line a exactly when a0*x0 + a1*x1 + a2*x2 = 0. Incidence
     rows are lines, columns are points.
+
+    Each line is solved for its points. The triples rank in closed form:
+    (0,0,1) is 0, (0,1,z) is 1 + z and (1,y,z) is 1 + q + y*q + z. If
+    a2 != 0, each prefix (x0, x1) gives the one point with
+    z = -(a0*x0 + a1*x1)/a2; if a2 = 0, the line holds (0,0,1) and the
+    whole block of q points of each prefix with a0*x0 + a1*x1 = 0.
     """
     field = build_field(q)
-    triples = sorted(
-        t for t in product(range(q), repeat=3) if any(t) and t[next(i for i, c in enumerate(t) if c)] == 1
-    )
     # every coordinate is a field element, so the tables need no range checks
-    add, mul = field._add_table, field._mul_table
+    add, mul, inv = field._add_table, field._mul_table, field._inv_table
+    prefixes = [(0, 1)] + [(1, y) for y in range(q)]
+    triples = [(0, 0, 1)] + [(x0, x1, z) for x0, x1 in prefixes for z in range(q)]
     lines = []
     for a0, a1, a2 in triples:
-        m0, m1, m2 = mul[a0], mul[a1], mul[a2]
-        lines.append([j for j, (x0, x1, x2) in enumerate(triples) if not add[add[m0[x0]][m1[x1]]][m2[x2]]])
+        sums = [add[mul[a0][x0]][mul[a1][x1]] for x0, x1 in prefixes]
+        if a2:
+            solve = mul[field.neg(inv[a2])]
+            lines.append([1 + i * q + solve[s] for i, s in enumerate(sums)])
+        else:
+            lines.append([0] + [j for i, s in enumerate(sums) if not s for j in range(1 + i * q, 1 + (i + 1) * q)])
     geometry = validate_geometry(len(triples), lines)
     return PlaneBundle(geometry, incidence_from_geometry(geometry), q)
 

@@ -117,6 +117,61 @@ def brute_four_independent(point_count: int, lines):
     return None
 
 
+def lines_pairwise_meet(lines) -> bool:
+    """True when every two lines share a point, by intersecting every pair."""
+    sets = [set(line) for line in lines]
+    return all(a & b for a, b in combinations(sets, 2))
+
+
+def poly_product_field_tables(p: int, modulus):
+    """GF(p^k) addition, product and inverse tables from polynomial arithmetic.
+
+    Element e is the polynomial whose coefficients are the base-p digits of
+    e, lowest first. Sums add digits mod p; products are schoolbook
+    convolutions reduced by long division by the monic modulus; each
+    inverse is found by searching its row for 1 (0 for the zero element).
+    """
+    k = len(modulus) - 1
+    q = p**k
+
+    def decode(e):
+        return [e // p**i % p for i in range(k)]
+
+    def encode(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def times(a, b):
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(decode(a)):
+            for j, y in enumerate(decode(b)):
+                out[i + j] = (out[i + j] + x * y) % p
+        for top in range(len(out) - 1, k - 1, -1):
+            lead = out[top]
+            for i, c in enumerate(modulus):
+                out[top - k + i] = (out[top - k + i] - lead * c) % p
+        return encode(out[:k])
+
+    add = tuple(tuple(encode([(x + y) % p for x, y in zip(decode(a), decode(b))]) for b in range(q)) for a in range(q))
+    mul = tuple(tuple(times(a, b) for b in range(q)) for a in range(q))
+    inv = tuple(next((b for b in range(1, q) if mul[a][b] == 1), 0) for a in range(q))
+    return add, mul, inv
+
+
+def dot_product_pg2_lines(q: int, add, mul):
+    """PG(2, q) lines as point-index lists, by testing every triple against every triple.
+
+    Points and lines are the nonzero triples over 0..q-1 whose first nonzero
+    coordinate is 1, sorted; point x lies on line a when
+    a0*x0 + a1*x1 + a2*x2 = 0 in the given tables.
+    """
+    triples = sorted(t for t in product(range(q), repeat=3) if any(t) and next(c for c in t if c) == 1)
+
+    def dot(a, x):
+        return add[add[mul[a[0]][x[0]]][mul[a[1]][x[1]]]][mul[a[2]][x[2]]]
+
+    return [[j for j, x in enumerate(triples) if not dot(a, x)] for a in triples]
+
+
 def geometry_axiom_violation(point_count: int, lines):
     """The first axiom failure as (axiom, witness, message), or None.
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +326,30 @@ class TestResolve:
         (d / "L2.ls").write_text(to_ls_text(order5_squares[1]))
         code, _, err = run(capsys, "resolve", "--in-dir", str(d), "--target", "1")
         assert code == 1
+
+
+class TestSquareFileNames:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-mpls", "--in-dir", "{d}"],
+            ["reconstruct", "--in-dir", "{d}", "--out", "{d}/out.inc"],
+            ["resolve", "--in-dir", "{d}", "--target", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_files_for_one_square_are_rejected(self, argv, reverse, squares_dir, capsys, monkeypatch):
+        (squares_dir / "L01.ls").write_text((squares_dir / "L2.ls").read_text())
+        listing = Path.iterdir
+        monkeypatch.setattr(Path, "iterdir", lambda self: iter(sorted(listing(self), reverse=reverse)))
+        code, out, err = run(capsys, *(arg.format(d=squares_dir) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == "format error: L01.ls and L1.ls both hold square 1\n"
+
+    def test_zero_padded_name_alone_is_read(self, capsys, squares_dir):
+        (squares_dir / "L2.ls").rename(squares_dir / "L002.ls")
+        code, out, _ = run(capsys, "verify-mpls", "--in-dir", str(squares_dir))
+        assert code == 0 and read_json(out)["is_complete"]
 
 
 class TestArgumentHandling:

@@ -40,3 +40,25 @@ def test_bench_duality_quick_run(tmp_path):
     # a plane's report solves its global matching and one forced cell
     assert groups["PG(2, 3)"]["matchings_per_report"] == 2
     assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
+
+
+def test_bench_pipeline_quick_run(tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text('{"parent": {}}\n')
+    result = json.loads(run_script("bench_pipeline.py", ["--quick", "--label", "change", "--out", str(out)]))
+    assert list(result["orders"]) == ["PG(2, 2)", "PG(2, 3)"]
+    stages = result["orders"]["PG(2, 3)"]["stages_s"]
+    assert list(stages) == [
+        "build_field",
+        "build_pg2",
+        "to_inc_text",
+        "from_inc_text",
+        "geometry_from_incidence",
+        "plane_check",
+        "canonicalize",
+        "extract_mpls",
+        "verify_mpls",
+        "reconstruct",
+    ]
+    assert result["orders"]["PG(2, 3)"]["n"] == 13 and result["repeats"] == 1
+    assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
