@@ -8,24 +8,16 @@ import pytest
 from oracles import dot_product_pg2_lines, lines_pairwise_meet, poly_product_field_tables
 from pglatin.binmat import ones
 from pglatin.geometry import GeometryError, find_four_independent, plane_check, subgeometry, validate_geometry
-from pglatin.planes import FiniteField, build_pg2, is_irreducible, prime_power, smallest_irreducible
+from pglatin.planes import FiniteField, _monic_polys, build_pg2, is_irreducible, prime_power, smallest_irreducible
 from test_geometry_axioms import mutated_cases
 
 ORDERS = [q for q in range(2, 33) if prime_power(q)]
 
 
-def monic_irreducibles(p, k):
-    """Every monic irreducible of degree k over Z_p, lowest coefficient first."""
-    for m in range(p**k):
-        modulus = tuple(m // p**i % p for i in range(k)) + (1,)
-        if is_irreducible(modulus, p):
-            yield modulus
-
-
 @pytest.mark.parametrize("q", ORDERS)
 def test_field_tables_match_polynomial_products(q):
     p, k = prime_power(q)
-    moduli = list(monic_irreducibles(p, k))
+    moduli = [m for m in _monic_polys(p, k) if is_irreducible(m, p)]
     assert moduli
     for modulus in moduli:
         f = FiniteField(p, k, modulus)
