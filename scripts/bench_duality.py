@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Time duality_report in-process and count the matchings it solves.
 
-Two groups: a seeded population of 160 random matrices with sides 16..40,
-40 at each density 0.1 / 0.3 / 0.5 / 0.7, and seeded relabellings of
-PG(2, q) for q = 9, 16, 25. Each group is timed as one loop over its
-inputs, and the median of REPEATS runs (one with --quick) is reported.
+Three groups: a seeded population of 160 random matrices with sides
+16..40, 40 at each density 0.1 / 0.3 / 0.5 / 0.7; 1,000 random matrices
+with sides 2..8 taking the densities in turn, shaped like perfbench's
+small survey tier; and seeded relabellings of PG(2, q) for q = 9, 16, 25.
+Each group is timed as one loop over its inputs, and the median of
+REPEATS runs (one with --quick) is reported.
 Matchings are counted by wrapping matching.bipartite_matching, the name
 every matching the search solves goes through, in a separate untimed pass.
 
@@ -31,14 +33,19 @@ DENSITIES = (0.1, 0.3, 0.5, 0.7)
 REPEATS = 3
 
 
+def random_matrix(rng: random.Random, low: int, high: int, density: float) -> BinaryMatrix:
+    m, n = rng.randint(low, high), rng.randint(low, high)
+    return BinaryMatrix(m, n, tuple(int(rng.random() < density) for _ in range(m * n)))
+
+
 def random_group(per_density: int, seed: int) -> list[BinaryMatrix]:
     rng = random.Random(seed)
-    group = []
-    for density in DENSITIES:
-        for _ in range(per_density):
-            m, n = rng.randint(16, 40), rng.randint(16, 40)
-            group.append(BinaryMatrix(m, n, tuple(int(rng.random() < density) for _ in range(m * n))))
-    return group
+    return [random_matrix(rng, 16, 40, density) for density in DENSITIES for _ in range(per_density)]
+
+
+def small_group(count: int, seed: int) -> list[BinaryMatrix]:
+    rng = random.Random(seed)
+    return [random_matrix(rng, 2, 8, DENSITIES[k % len(DENSITIES)]) for k in range(count)]
 
 
 def relabelled_plane(q: int, rng: random.Random) -> BinaryMatrix:
@@ -102,14 +109,14 @@ def store(path: Path, label: str, result: dict) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true", help="8 random matrices, q = 2 and 3, one run each")
+    parser.add_argument("--quick", action="store_true", help="8 + 20 random matrices, q = 2 and 3, one run each")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", default="current")
     parser.add_argument("--out", type=Path, default=None, metavar="BENCH.json")
     args = parser.parse_args()
-    per_density, orders, repeats = (2, (2, 3), 1) if args.quick else (40, (9, 16, 25), REPEATS)
+    per_density, small, orders, repeats = (2, 20, (2, 3), 1) if args.quick else (40, 1000, (9, 16, 25), REPEATS)
     rng = random.Random(args.seed)
-    groups = {"random 16-40": random_group(per_density, args.seed)}
+    groups = {"random 16-40": random_group(per_density, args.seed), "random 2-8": small_group(small, args.seed)}
     groups.update((f"PG(2, {q})", [relabelled_plane(q, rng)]) for q in orders)
     result = {
         "git_sha": source_sha(),

@@ -185,11 +185,21 @@ def independent_points(g: Geometry, points: Iterable[int]) -> bool:
 def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
     """Four points with no three on a common line, or None.
 
+    With v >= 4 there is none exactly when some line holds v - 1 points or
+    more, which settles None in O(b). Such a line takes three of any four
+    points. Otherwise take a longest line L: if it has two points, so does
+    every line and any four points will do; if more, it misses two points
+    r, s, the line rs meets L at most once, and two points p, q of L off
+    it give the independent p, q, r, s.
+
     Two distinct lines meet in at most one point, so two spare points on
     each give such a quadruple directly. The search is also complete: for
     any independent a, b, c, d the lines ab and cd meet off all four, so
     the pair of lines ab, cd has two spare points each.
     """
+    v = g.point_count
+    if v < 4 or any(mask.bit_count() >= v - 1 for mask in g._line_masks):
+        return None
     for a, b in combinations(g._line_masks, 2):
         spare_a, spare_b = ones(a & ~b)[:2], ones(b & ~a)[:2]
         if len(spare_a) == 2 and len(spare_b) == 2:

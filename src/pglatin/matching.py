@@ -1,7 +1,9 @@
 """Maximum independent ones, maximum all-zero blocks, and the duality between them.
 
 Deterministic augmenting paths. The zero-block search prunes with a degree
-bound and with the global matching, whose pairs also seed each solved cell.
+bound and with the global matching, whose pairs also seed each solved cell,
+and decides most cells of a forced column or row from one relaxation
+matching of the whole group.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ def bipartite_matching(
     partial, which must be a matching of adjacency (distinct columns, each
     pair an edge; unchecked) in the returned form, is copied and grown from
     its unmatched left vertices. Left vertices go in increasing order and
-    neighbours in list order, so the result is deterministic. Failed
-    searches share one visited list: a failed search changes nothing, and no
-    column it visited leads on to a free one. Returns the left-to-right
-    assignment with -1 for unmatched left vertices.
+    neighbours in list order, so the result is deterministic; a left vertex
+    with no neighbours is skipped. Failed searches share one visited list: a
+    failed search changes nothing, and no column it visited leads on to a
+    free one. Returns the left-to-right assignment with -1 for unmatched
+    left vertices.
     """
     match_left = [-1] * len(adjacency) if partial is None else list(partial)
     match_right = [-1] * right_size
@@ -63,7 +66,7 @@ def bipartite_matching(
 
     seen = [False] * right_size
     for r, c in enumerate(match_left):
-        if c < 0 and augment(r, seen):
+        if c < 0 and adjacency[r] and augment(r, seen):
             seen = [False] * right_size
     return match_left
 
@@ -153,19 +156,38 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     """A zero submatrix maximizing rows + cols, or None when f has no zero.
 
     Both selections must be nonempty. The unconstrained optimum rows + cols
-    = m + n - (maximum matching on ones); when it is only one-sided, each
-    zero cell (i, j) is forced in turn, weighing 2 + a + b - nu for the a x b
-    remainder with maximum matching nu. A remainder with e ones and degrees
-    at most D splits into D matchings (Konig), so nu >= ceil(e / D); a cell
-    whose bound cannot beat the best so far is skipped, and since only a
-    strictly heavier cell replaces the best, the witness is the full scan's.
-    e is exact, not estimated: every remainder row r is zero at the forced
-    column j, so it holds exactly the ones of r outside row i's, a count
-    taken once per row i and shared by all its zero cells. The L global
-    matching pairs with row zero at j and column zero in row i lie in the
-    remainder, so nu >= L, and a solved cell grows them into a maximum
-    matching. The rows alternating paths reach from unmatched rows are the
-    same for every maximum matching (Dulmage-Mendelsohn), and so is the witness.
+    = m + n - (maximum matching on ones) comes from the alternating-path
+    cover. When it is one-sided, forcing a zero cell (i, j) into the block
+    leaves an a x b remainder, and the best block through the cell weighs
+    2 + a + b - nu for the remainder's maximum matching nu. The witness is
+    the row-major-first cell of maximum weight, with the cover's selection
+    of its remainder: the rows alternating paths reach from unmatched rows,
+    the same for every maximum matching (Dulmage-Mendelsohn). A cell
+    replaces the best only when heavier, or equally heavy and earlier in
+    row-major order, so the order the cells are decided in does not matter.
+
+    Two bounds prune a cell. A remainder with e ones and degrees at most D
+    splits into D matchings (Konig), so nu >= ceil(e / D); e is exact, since
+    every remainder row r is zero at j and holds the ones of r outside row
+    i. The L global matching pairs with row zero at j and column zero in
+    row i lie in the remainder, so nu >= L.
+
+    The row-major-first zero cell is solved first. The other cells are
+    grouped by the side the global selection left empty: by column j when
+    it kept only rows, by row i when it kept only columns. Groups go in
+    order of their best bound, heaviest first, so the best rises early. A
+    group in which two or more cells can still win is relaxed by one
+    matching instead of one per cell. For a forced column j, it matches the
+    rows zero at j against every column but j, from the global pairs inside
+    it; with maximum matching nu', alpha = rows + n - 1 - nu' is the best
+    selection there. Cell (i, j) weighs 1 + alpha exactly when row i lies
+    in some best selection, that is when no alternating path from an
+    unmatched column reaches it, and at most alpha otherwise. So when such
+    rows exist, the first of them is the column's winner, solved only if
+    it wins overall. When none exists, alpha caps every cell of the column,
+    and so does 1 + alpha - k, k being the rows with a one at j that the
+    relaxation leaves unmatched; a cell still above the best is solved
+    inside the relaxation, from its pairs. Rows mirror this.
     """
     adjacency = list(map(ones, f.masks))
     return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
@@ -173,46 +195,144 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
 
 def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[int]) -> ZeroBlockWitness | None:
     """max_zero_submatrix from the ones of f and a maximum matching on them."""
-    m, n = f.rows, f.cols
+    n = f.cols
     rows_in, cols_in = _independent_selection(adjacency, n, match_left)
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
+    masks, full = f.masks, (1 << n) - 1
+    first = next(((i, ones(full ^ mask)[0]) for i, mask in enumerate(masks) if mask != full), None)
+    if first is None:
+        return None
+    col_masks = f.transpose().masks
+    col_adj = list(map(ones, col_masks))
+    best = _cell_block(masks, col_masks, adjacency, match_left, first)
+    weight = best.weight
 
-    best, weight = None, 0
-    all_rows, all_cols = (1 << m) - 1, (1 << n) - 1
-    masks, col_masks = f.masks, f.transpose().masks
-    col_ones = list(map(ones, col_masks))
+    # the groups are the rows of g: f when the global selection kept only columns, else f transposed
+    if cols_in:
+        g_masks, g_col_masks, g_adj, g_col_adj, g_match = masks, col_masks, adjacency, col_adj, match_left
+    else:
+        g_masks, g_col_masks, g_adj, g_col_adj, g_match = col_masks, masks, col_adj, adjacency, [-1] * n
+        for r, c in enumerate(match_left):
+            if c >= 0:
+                g_match[c] = r
+
+    # a cell is named by its row-major index, so the earlier of two equally heavy cells has the lower key
+    steps = (n, 1) if cols_in else (1, n)
+    best_key = first[0] * n + first[1]
+
+    def beats(w: int, key: int) -> bool:
+        return w > weight or w == weight and key < best_key
+
+    gm, gn = len(g_masks), len(g_col_masks)
+    all_rows, all_cols = (1 << gm) - 1, (1 << gn) - 1
     # no column of a remainder forcing column j holds more ones than col_deg[j]
-    col_deg = [max((other & ~mask).bit_count() for other in col_masks) for mask in col_masks]
-    partner = {c: 1 << r for r, c in enumerate(match_left) if c >= 0}
+    col_deg = [max([(other & ~mask).bit_count() for other in g_col_masks]) for mask in g_col_masks]
+    partner = {c: 1 << r for r, c in enumerate(g_match) if c >= 0}
     matched_rows = sum(partner.values())
-    for i, mask in enumerate(masks):
+    groups = []
+    for i, mask in enumerate(g_masks):
         # a remainder row r is zero at the forced column, so it holds exactly overlap[r] ones
-        overlap = [(other & ~mask).bit_count() for other in masks]
-        total, row_deg, b = sum(overlap), max(overlap), n - 1 - len(adjacency[i])
+        overlap = [(other & ~mask).bit_count() for other in g_masks]
+        total, row_deg, b = sum(overlap), max(overlap), gn - 1 - len(g_adj[i])
         # matched rows whose partner is a zero of row i; those zero at j keep their pair
-        kept = matched_rows ^ sum(partner.get(c, 0) for c in adjacency[i])
+        kept = matched_rows ^ sum(partner.get(c, 0) for c in g_adj[i])
+        candidates = []
         for j in ones(all_cols ^ mask):
-            a = m - 1 - len(col_ones[j])
-            e = total - sum(map(overlap.__getitem__, col_ones[j]))
+            a = gm - 1 - len(g_col_adj[j])
+            e = total - sum(map(overlap.__getitem__, g_col_adj[j]))
             delta = max(row_deg, col_deg[j], 1)
-            if 2 + a + b - (e + delta - 1) // delta <= weight:
+            bound = 2 + a + b - (e + delta - 1) // delta
+            if bound <= weight:
                 continue
-            zero_rows = all_rows ^ col_masks[j] ^ 1 << i
-            if 2 + a + b - (kept & zero_rows).bit_count() <= weight:
+            bound = min(bound, 2 + a + b - (kept & (all_rows ^ g_col_masks[j] ^ 1 << i)).bit_count())
+            key = i * steps[0] + j * steps[1]
+            if bound > weight and key != best_key:
+                candidates.append((bound, key, j))
+        if candidates:
+            groups.append((max(candidates)[0], i, candidates))
+
+    first_weight = weight
+    for _, i, candidates in sorted(groups, key=lambda group: -group[0]):
+        if weight > first_weight:
+            candidates = [(bound, key, j) for bound, key, j in candidates if beats(bound, key)]
+        relaxed = None
+        if len(candidates) >= 2:
+            relaxed = _Relaxation(g_adj, g_match, gn, i, g_masks[i])
+            if relaxed.heavy:
+                key = i * steps[0] + relaxed.heavy[0] * steps[1]
+                if beats(relaxed.alpha + 1, key):
+                    best, weight, best_key = None, relaxed.alpha + 1, key
                 continue
-            cand_rows, cand_cols = ones(zero_rows), ones(all_cols ^ mask ^ 1 << j)
-            col_index = {c: k for k, c in enumerate(cand_cols)}
-            sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
-            warm = [col_index.get(match_left[r], -1) for r in cand_rows]
-            sub_match = bipartite_matching(sub_adj, len(cand_cols), warm)
-            sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
-            rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
-            cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
-            candidate = ZeroBlockWitness(rows_sel, cols_sel)
-            if candidate.weight > weight:
-                best, weight = candidate, candidate.weight
-    return best
+        for bound, key, j in candidates:
+            if relaxed is not None:
+                bound = min(bound, relaxed.cap(g_col_masks[j]))
+            if not beats(bound, key):
+                continue
+            if relaxed is None:
+                block = _cell_block(masks, col_masks, adjacency, match_left, divmod(key, n))
+                w = block.weight
+            else:
+                block, w = None, relaxed.forced_weight(g_col_masks[j])
+            if beats(w, key):
+                best, weight, best_key = block, w, key
+    return best if best is not None else _cell_block(masks, col_masks, adjacency, match_left, divmod(best_key, n))
+
+
+def _cell_block(
+    masks: Sequence[int], col_masks: Sequence[int], adjacency: list[list[int]], match_left: list[int],
+    cell: tuple[int, int],
+) -> ZeroBlockWitness:
+    """The block the cover selects once zero cell (i, j) is forced, grown from the global pairs inside."""
+    i, j = cell
+    cand_rows = ones((1 << len(masks)) - 1 ^ col_masks[j] ^ 1 << i)
+    cand_cols = ones((1 << len(col_masks)) - 1 ^ masks[i] ^ 1 << j)
+    col_index = {c: k for k, c in enumerate(cand_cols)}
+    sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
+    warm = [col_index.get(match_left[r], -1) for r in cand_rows]
+    sub_match = bipartite_matching(sub_adj, len(cand_cols), warm)
+    sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
+    rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
+    cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
+    return ZeroBlockWitness(rows_sel, cols_sel)
+
+
+class _Relaxation:
+    """Every zero cell of row i at once: the other rows matched against the zero columns of row i.
+
+    alpha = rows + cols - nu is the best selection there. A column in some
+    best selection, one no alternating path from an unmatched row reaches,
+    is heavy: its cell weighs 1 + alpha. free holds the unmatched rows.
+    """
+
+    def __init__(self, adjacency: list[list[int]], match_left: list[int], n_cols: int, i: int, mask: int) -> None:
+        right = ones((1 << n_cols) - 1 ^ mask)
+        index = {c: k for k, c in enumerate(right)}
+        self.left = [r for r in range(len(adjacency)) if r != i]
+        self.adjacency = [[index[c] for c in adjacency[r] if c in index] for r in self.left]
+        self.match = bipartite_matching(self.adjacency, len(right), [index.get(match_left[r], -1) for r in self.left])
+        self.alpha = len(self.left) + len(right) - sum(c >= 0 for c in self.match)
+        _, heavy = _independent_selection(self.adjacency, len(right), self.match)
+        self.heavy = [right[k] for k in heavy]
+        self.free = sum(1 << r for r, c in zip(self.left, self.match) if c < 0)
+        self.n_right = len(right)
+
+    def cap(self, col_mask: int) -> int:
+        """A bound on the weight of cell (i, j) when no column is heavy; col_mask: the rows with a one at j.
+
+        Dropping those rows keeps every pair but theirs, and k of them are
+        unmatched, so the cell weighs at most 1 + alpha - k, and at most
+        alpha, since column j lies in no best selection.
+        """
+        return self.alpha + 1 - max(1, (self.free & col_mask).bit_count())
+
+    def forced_weight(self, col_mask: int) -> int:
+        """The weight of cell (i, j): dropping the rows with a one at j isolates j and leaves its remainder."""
+        gone = [col_mask >> r & 1 for r in self.left]
+        adjacency = [[] if out else adj for out, adj in zip(gone, self.adjacency)]
+        warm = [-1 if out else c for out, c in zip(gone, self.match)]
+        nu = sum(c >= 0 for c in bipartite_matching(adjacency, self.n_right, warm))
+        return 1 + len(self.left) - sum(gone) + self.n_right - nu
 
 
 @dataclass(frozen=True)

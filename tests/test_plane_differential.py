@@ -2,14 +2,16 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from oracles import dot_product_pg2_lines, lines_pairwise_meet, poly_product_field_tables
+from oracles import brute_four_independent, dot_product_pg2_lines, lines_pairwise_meet, poly_product_field_tables
+from pglatin import geometry
 from pglatin.binmat import ones
 from pglatin.geometry import GeometryError, find_four_independent, plane_check, subgeometry, validate_geometry
 from pglatin.planes import FiniteField, _monic_polys, build_pg2, is_irreducible, prime_power, smallest_irreducible
-from test_geometry_axioms import mutated_cases
+from test_geometry_axioms import mutated_cases, near_pencil
 
 ORDERS = [q for q in range(2, 33) if prime_power(q)]
 
@@ -66,3 +68,36 @@ def test_second_def_on_subgeometries():
     # the pair scan could part, arise here and not among the mutants
     assert min(outcomes[True, False], outcomes[True, True], outcomes[False, True]) >= 50
 
+
+
+def test_four_independent_points_agree_with_brute_force():
+    rng = random.Random(20261021)
+    planes = [build_pg2(q).geometry for q in (2, 3, 4)]
+    cases = [validate_geometry(*near_pencil(v)) for v in range(3, 16)]
+    for _ in range(300):
+        g = rng.choice(planes)
+        cases.append(subgeometry(g, rng.sample(range(g.v), rng.randint(0, min(g.v, 14)))))
+    found = Counter()
+    for g in cases:
+        quad = find_four_independent(g)
+        assert (quad is None) == (brute_four_independent(g.point_count, g.lines) is None), (g.point_count, g.lines)
+        if quad is not None:
+            assert len(set(quad)) == 4 and all(len(set(line) & set(quad)) <= 2 for line in g.lines)
+        found[quad is not None] += 1
+    assert min(found.values()) >= 50
+
+
+def test_no_four_independent_points_skips_the_line_pair_scan(monkeypatch):
+    pairs = []
+
+    def counted(items, r):
+        for pair in combinations(items, r):
+            pairs.append(pair)
+            yield pair
+
+    monkeypatch.setattr(geometry, "combinations", counted)
+    for v in (3, 4, 9, 300):
+        assert find_four_independent(validate_geometry(*near_pencil(v))) is None
+    assert pairs == []
+    assert find_four_independent(build_pg2(3).geometry) is not None
+    assert pairs

@@ -35,8 +35,9 @@ def test_bench_duality_quick_run(tmp_path):
     out.write_text('{"parent": {}}\n')
     result = json.loads(run_script("bench_duality.py", ["--quick", "--label", "change", "--out", str(out)]))
     groups = result["groups"]
-    assert list(groups) == ["random 16-40", "PG(2, 2)", "PG(2, 3)"]
+    assert list(groups) == ["random 16-40", "random 2-8", "PG(2, 2)", "PG(2, 3)"]
     assert groups["random 16-40"]["inputs"] == 8 and groups["random 16-40"]["matchings_per_report"] > 1
+    assert groups["random 2-8"]["inputs"] == 20
     # a plane's report solves its global matching and one forced cell
     assert groups["PG(2, 3)"]["matchings_per_report"] == 2
     assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
