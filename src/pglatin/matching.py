@@ -230,6 +230,7 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     col_deg = [max([(other & ~mask).bit_count() for other in g_col_masks]) for mask in g_col_masks]
     partner = {c: 1 << r for r, c in enumerate(g_match) if c >= 0}
     matched_rows = sum(partner.values())
+    # per row of g, the cells whose bounds beat the first cell: (best bound, i, [(bound, key, j)])
     groups = []
     for i, mask in enumerate(g_masks):
         # a remainder row r is zero at the forced column, so it holds exactly overlap[r] ones
@@ -320,9 +321,9 @@ class _Relaxation:
     def cap(self, col_mask: int) -> int:
         """A bound on the weight of cell (i, j) when no column is heavy; col_mask: the rows with a one at j.
 
-        Dropping those rows keeps every pair but theirs, and k of them are
-        unmatched, so the cell weighs at most 1 + alpha - k, and at most
-        alpha, since column j lies in no best selection.
+        Dropping those rows loses only the pairs of the matched ones, so
+        with k of them unmatched the cell weighs at most 1 + alpha - k; and
+        at most alpha, since column j lies in no best selection.
         """
         return self.alpha + 1 - max(1, (self.free & col_mask).bit_count())
 
