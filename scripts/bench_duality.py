@@ -10,17 +10,24 @@ REPEATS runs (one with --quick) is reported.
 Matchings are counted by wrapping matching.bipartite_matching, the name
 every matching the search solves goes through, in a separate untimed pass.
 
+With --against DIR, the package under DIR/src is timed as well, in a child
+process that runs this script on the same inputs. The two trees take turns
+for PAIRS rounds (two with --quick), the first tree of a round alternating,
+so host drift reaches both alike; DIR's result is labelled "parent".
+
 The result is printed as JSON; with --out it is also stored in that file
-under --label, next to the labels already there, so one file can hold a
-parent and a change measured on the same host.
+under --label (and "parent"), next to the labels already there, so one file
+can hold a parent and a change measured on the same host.
 """
 
 import argparse
 import json
+import os
 import platform
 import random
 import statistics
 import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -31,6 +38,7 @@ from pglatin.planes import build_pg2
 
 DENSITIES = (0.1, 0.3, 0.5, 0.7)
 REPEATS = 3
+PAIRS = 10
 
 
 def random_matrix(rng: random.Random, low: int, high: int, density: float) -> BinaryMatrix:
@@ -74,18 +82,72 @@ def matchings_per_report(group: list[BinaryMatrix]) -> float:
     return calls / len(group)
 
 
-def measure(group: list[BinaryMatrix], repeats: int) -> dict:
-    times = []
-    for _ in range(repeats):
-        start = perf_counter()
-        for f in group:
-            matching.duality_report(f)
-        times.append(perf_counter() - start)
+def time_once(group: list[BinaryMatrix]) -> float:
+    start = perf_counter()
+    for f in group:
+        matching.duality_report(f)
+    return perf_counter() - start
+
+
+def summary(inputs: int, times: list[float], matchings: float) -> dict:
     return {
-        "inputs": len(group),
+        "inputs": inputs,
         "median_s": round(statistics.median(times), 4),
         "times_s": [round(t, 4) for t in times],
-        "matchings_per_report": matchings_per_report(group),
+        "matchings_per_report": matchings,
+    }
+
+
+def measure(group: list[BinaryMatrix], repeats: int) -> dict:
+    times = [time_once(group) for _ in range(repeats)]
+    return summary(len(group), times, matchings_per_report(group))
+
+
+def provenance() -> dict:
+    return {"git_sha": source_sha(), "python": platform.python_version()}
+
+
+def serve(groups: dict[str, list[BinaryMatrix]]) -> None:
+    """The child side of --against: first the provenance and matchings, then one timed run per line read."""
+    counts = {name: matchings_per_report(group) for name, group in groups.items()}
+    print(json.dumps({**provenance(), "matchings_per_report": counts}), flush=True)
+    for _ in sys.stdin:
+        print(json.dumps({name: time_once(group) for name, group in groups.items()}), flush=True)
+
+
+def alternate(groups: dict[str, list[BinaryMatrix]], other: Path, pairs: int, child_args: list[str]) -> dict:
+    """Per side, "parent" and this tree, its provenance and groups timed over pairs rounds, the first alternating."""
+    paths = [str(other / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    cmd = [sys.executable, __file__, *child_args, "--serve"]
+    with subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+
+        def reply() -> dict:
+            line = child.stdout.readline()
+            if not line:
+                raise SystemExit(f"error: the run of {other / 'src'} stopped; its error is above")
+            return json.loads(line)
+
+        def run_round(side: str) -> dict[str, float]:
+            if side == "this":
+                return {name: time_once(group) for name, group in groups.items()}
+            child.stdin.write("\n")
+            child.stdin.flush()
+            return reply()
+
+        sides = {"parent": reply(), "this": provenance()}
+        counts = {"parent": sides["parent"].pop("matchings_per_report")}
+        counts["this"] = {name: matchings_per_report(group) for name, group in groups.items()}
+        times = {side: {name: [] for name in groups} for side in sides}
+        for k in range(pairs):
+            for side in ("this", "parent") if k % 2 == 0 else ("parent", "this"):
+                for name, seconds in run_round(side).items():
+                    times[side][name].append(seconds)
+        child.stdin.close()
+    return {
+        side: (sides[side], {name: summary(len(group), times[side][name], counts[side][name])
+                             for name, group in groups.items()})
+        for side in sides
     }
 
 
@@ -113,21 +175,33 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", default="current")
     parser.add_argument("--out", type=Path, default=None, metavar="BENCH.json")
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR", help="alternate with DIR/src, as parent")
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.against is not None and (args.label == "parent" or not (args.against / "src" / "pglatin").is_dir()):
+        parser.error("--against needs a checkout with src/pglatin and a --label other than parent")
     per_density, small, orders, repeats = (2, 20, (2, 3), 1) if args.quick else (40, 1000, (9, 16, 25), REPEATS)
     rng = random.Random(args.seed)
     groups = {"random 16-40": random_group(per_density, args.seed), "random 2-8": small_group(small, args.seed)}
     groups.update((f"PG(2, {q})", [relabelled_plane(q, rng)]) for q in orders)
-    result = {
-        "git_sha": source_sha(),
-        "python": platform.python_version(),
-        "seed": args.seed,
-        "repeats": repeats,
-        "groups": {name: measure(group, repeats) for name, group in groups.items()},
+    if args.serve:
+        serve(groups)
+        return
+    if args.against is None:
+        sides = {"this": (provenance(), {name: measure(group, repeats) for name, group in groups.items()})}
+    else:
+        repeats = 2 if args.quick else PAIRS
+        child_args = ["--seed", str(args.seed), *(["--quick"] if args.quick else [])]
+        sides = alternate(groups, args.against, repeats, child_args)
+    meta = {"seed": args.seed, "repeats": repeats, "alternated": args.against is not None}
+    results = {
+        args.label if side == "this" else side: {**source, **meta, "groups": timed}
+        for side, (source, timed) in sides.items()
     }
-    print(json.dumps(result, indent=2))
+    print(json.dumps(results[args.label] if args.against is None else results, indent=2))
     if args.out is not None:
-        store(args.out, args.label, result)
+        for label, result in results.items():
+            store(args.out, label, result)
 
 
 if __name__ == "__main__":

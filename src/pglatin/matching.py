@@ -1,9 +1,7 @@
 """Maximum independent ones, maximum all-zero blocks, and the duality between them.
 
-Deterministic augmenting paths. The zero-block search prunes with a degree
-bound and with the global matching, whose pairs also seed each solved cell,
-and decides most cells of a forced column or row from one relaxation
-matching of the whole group.
+Deterministic augmenting paths; _zero_block gives the account of the
+zero-block search.
 """
 
 from __future__ import annotations
@@ -155,46 +153,32 @@ def _independent_selection(
 def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     """A zero submatrix maximizing rows + cols, or None when f has no zero.
 
-    Both selections must be nonempty. The unconstrained optimum rows + cols
-    = m + n - (maximum matching on ones) comes from the alternating-path
-    cover. When it is one-sided, forcing a zero cell (i, j) into the block
-    leaves an a x b remainder, and the best block through the cell weighs
-    2 + a + b - nu for the remainder's maximum matching nu. The witness is
-    the row-major-first cell of maximum weight, with the cover's selection
-    of its remainder: the rows alternating paths reach from unmatched rows,
-    the same for every maximum matching (Dulmage-Mendelsohn). A cell
-    replaces the best only when heavier, or equally heavy and earlier in
-    row-major order, so the order the cells are decided in does not matter.
-
-    Two bounds prune a cell. A remainder with e ones and degrees at most D
-    splits into D matchings (Konig), so nu >= ceil(e / D); e is exact, since
-    every remainder row r is zero at j and holds the ones of r outside row
-    i. The L global matching pairs with row zero at j and column zero in
-    row i lie in the remainder, so nu >= L.
-
-    The row-major-first zero cell is solved first. The other cells are
-    grouped by the side the global selection left empty: by column j when
-    it kept only rows, by row i when it kept only columns. Groups go in
-    order of their best bound, heaviest first, so the best rises early. A
-    group in which two or more cells can still win is relaxed by one
-    matching instead of one per cell. For a forced column j, it matches the
-    rows zero at j against every column but j, from the global pairs inside
-    it; with maximum matching nu', alpha = rows + n - 1 - nu' is the best
-    selection there. Cell (i, j) weighs 1 + alpha exactly when row i lies
-    in some best selection, that is when no alternating path from an
-    unmatched column reaches it, and at most alpha otherwise. So when such
-    rows exist, the first of them is the column's winner, solved only if
-    it wins overall. When none exists, alpha caps every cell of the column,
-    and so does 1 + alpha - k, k being the rows with a one at j that the
-    relaxation leaves unmatched; a cell still above the best is solved
-    inside the relaxation, from its pairs. Rows mirror this.
+    Both selections must be nonempty. When the best selection avoiding every
+    one is two-sided it is the answer; otherwise the block is grown from the
+    row-major-first of the zero cells with the heaviest block through them.
     """
     adjacency = list(map(ones, f.masks))
     return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
 
 
 def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[int]) -> ZeroBlockWitness | None:
-    """max_zero_submatrix from the ones of f and a maximum matching on them."""
+    """max_zero_submatrix from the ones of f and a maximum matching on them.
+
+    The best selection avoiding every one weighs m + n - (maximum matching)
+    and comes from the alternating-path cover. When it is one-sided, forcing
+    a zero cell (i, j) leaves a remainder of a rows zero at j and b columns
+    zero in row i; the cell weighs 2 + a + b - nu for the remainder's maximum
+    matching nu, and its block is the cover's selection, the same for every
+    maximum matching (Dulmage-Mendelsohn). A cell replaces the best only when
+    heavier, or equally heavy and earlier in row-major order, so the order
+    cells are decided in does not matter. A cell is skipped when a bound on
+    nu shows it cannot win: Konig's nu >= ceil(e / D) for a remainder of e
+    ones and degrees at most D, or the global pairs inside the remainder,
+    which also warm-start every cell solved. The first zero cell is solved
+    first; the others are grouped by the side the global selection left
+    empty, heaviest bound first, and a group with two or more cells that can
+    still win is decided by one _Relaxation.
+    """
     n = f.cols
     rows_in, cols_in = _independent_selection(adjacency, n, match_left)
     if rows_in and cols_in:
@@ -205,7 +189,19 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
         return None
     col_masks = f.transpose().masks
     col_adj = list(map(ones, col_masks))
-    best = _cell_block(masks, col_masks, adjacency, match_left, first)
+
+    def cell_block(cell: tuple[int, int]) -> ZeroBlockWitness:
+        """The block the cover selects once zero cell (i, j) is forced."""
+        i, j = cell
+        cand_rows = ones((1 << f.rows) - 1 ^ col_masks[j] ^ 1 << i)
+        cand_cols = ones(full ^ masks[i] ^ 1 << j)
+        sub_adj, sub_match = _submatching(adjacency, match_left, cand_rows, cand_cols)
+        sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
+        rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
+        cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
+        return ZeroBlockWitness(rows_sel, cols_sel)
+
+    best = cell_block(first)
     weight = best.weight
 
     # the groups are the rows of g: f when the global selection kept only columns, else f transposed
@@ -253,13 +249,11 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
         if candidates:
             groups.append((max(candidates)[0], i, candidates))
 
-    first_weight = weight
     for _, i, candidates in sorted(groups, key=lambda group: -group[0]):
-        if weight > first_weight:
-            candidates = [(bound, key, j) for bound, key, j in candidates if beats(bound, key)]
+        candidates = [(bound, key, j) for bound, key, j in candidates if beats(bound, key)]
         relaxed = None
         if len(candidates) >= 2:
-            relaxed = _Relaxation(g_adj, g_match, gn, i, g_masks[i])
+            relaxed = _Relaxation(g_adj, g_match, g_col_masks, i, g_masks[i])
             if relaxed.heavy:
                 key = i * steps[0] + relaxed.heavy[0] * steps[1]
                 if beats(relaxed.alpha + 1, key):
@@ -268,72 +262,77 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
         for bound, key, j in candidates:
             if relaxed is not None:
                 bound = min(bound, relaxed.cap(g_col_masks[j]))
+                if beats(bound, key):
+                    bound = min(bound, relaxed.augmented_cap(g_col_masks[j]))
             if not beats(bound, key):
                 continue
             if relaxed is None:
-                block = _cell_block(masks, col_masks, adjacency, match_left, divmod(key, n))
+                block = cell_block(divmod(key, n))
                 w = block.weight
             else:
                 block, w = None, relaxed.forced_weight(g_col_masks[j])
             if beats(w, key):
                 best, weight, best_key = block, w, key
-    return best if best is not None else _cell_block(masks, col_masks, adjacency, match_left, divmod(best_key, n))
+    return best if best is not None else cell_block(divmod(best_key, n))
 
 
-def _cell_block(
-    masks: Sequence[int], col_masks: Sequence[int], adjacency: list[list[int]], match_left: list[int],
-    cell: tuple[int, int],
-) -> ZeroBlockWitness:
-    """The block the cover selects once zero cell (i, j) is forced, grown from the global pairs inside."""
-    i, j = cell
-    cand_rows = ones((1 << len(masks)) - 1 ^ col_masks[j] ^ 1 << i)
-    cand_cols = ones((1 << len(col_masks)) - 1 ^ masks[i] ^ 1 << j)
-    col_index = {c: k for k, c in enumerate(cand_cols)}
-    sub_adj = [[col_index[c] for c in adjacency[r] if c in col_index] for r in cand_rows]
-    warm = [col_index.get(match_left[r], -1) for r in cand_rows]
-    sub_match = bipartite_matching(sub_adj, len(cand_cols), warm)
-    sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
-    rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
-    cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
-    return ZeroBlockWitness(rows_sel, cols_sel)
+def _submatching(
+    adjacency: Sequence[Sequence[int]], match_left: Sequence[int], rows: list[int], cols: list[int]
+) -> tuple[list[list[int]], list[int]]:
+    """The rows against the columns given, renumbered, with a maximum matching grown from the pairs inside."""
+    index = {c: k for k, c in enumerate(cols)}
+    sub_adj = [[index[c] for c in adjacency[r] if c in index] for r in rows]
+    return sub_adj, bipartite_matching(sub_adj, len(cols), [index.get(match_left[r], -1) for r in rows])
 
 
 class _Relaxation:
     """Every zero cell of row i at once: the other rows matched against the zero columns of row i.
 
-    alpha = rows + cols - nu is the best selection there. A column in some
-    best selection, one no alternating path from an unmatched row reaches,
-    is heavy: its cell weighs 1 + alpha. free holds the unmatched rows.
+    alpha = rows + cols - nu is the best selection there. Cell (i, j) weighs
+    1 + alpha exactly when column j is heavy: no alternating path from an
+    unmatched row reaches it. Without a heavy column, a cell is solved here
+    only when its cap can still win.
     """
 
-    def __init__(self, adjacency: list[list[int]], match_left: list[int], n_cols: int, i: int, mask: int) -> None:
-        right = ones((1 << n_cols) - 1 ^ mask)
-        index = {c: k for k, c in enumerate(right)}
+    def __init__(self, adjacency: list[list[int]], match_left: list[int], col_masks: Sequence[int], i: int,
+                 mask: int) -> None:
         self.left = [r for r in range(len(adjacency)) if r != i]
-        self.adjacency = [[index[c] for c in adjacency[r] if c in index] for r in self.left]
-        self.match = bipartite_matching(self.adjacency, len(right), [index.get(match_left[r], -1) for r in self.left])
-        self.alpha = len(self.left) + len(right) - sum(c >= 0 for c in self.match)
-        _, heavy = _independent_selection(self.adjacency, len(right), self.match)
-        self.heavy = [right[k] for k in heavy]
-        self.free = sum(1 << r for r, c in zip(self.left, self.match) if c < 0)
-        self.n_right = len(right)
+        self.right = right = ones((1 << len(col_masks)) - 1 ^ mask)
+        sub_adj, sub_match = _submatching(adjacency, match_left, self.left, right)
+        self.alpha = len(self.left) + len(right) - sum(c >= 0 for c in sub_match)
+        self.heavy = [right[k] for k in _independent_selection(sub_adj, len(right), sub_match)[1]]
+        # the relaxation's pairs by row and column of the matrix, and its unmatched rows
+        self.match = [right[c] if c >= 0 else -1 for c in sub_match]
+        self.match.insert(i, -1)
+        self.free = sum(1 << r for r in self.left if self.match[r] < 0)
+        self.adjacency, self.col_masks = adjacency, col_masks
 
     def cap(self, col_mask: int) -> int:
-        """A bound on the weight of cell (i, j) when no column is heavy; col_mask: the rows with a one at j.
-
-        Dropping those rows loses only the pairs of the matched ones, so
-        with k of them unmatched the cell weighs at most 1 + alpha - k; and
-        at most alpha, since column j lies in no best selection.
-        """
+        """augmented_cap without its augmentations (t = 0): no search, so it is tried first."""
         return self.alpha + 1 - max(1, (self.free & col_mask).bit_count())
+
+    def augmented_cap(self, col_mask: int) -> int:
+        """min(alpha, 1 + alpha - k - t) bounds cell (i, j) when no column is heavy.
+
+        col_mask holds G, the rows with a one at j, k of them unmatched.
+        Dropping G frees the partner of each matched row of G; a free row
+        outside G with a one at a freed column augments by one edge. t such
+        edges, greedy with distinct rows and columns, leave the remainder a
+        matching of nu - (|G| - k) + t.
+        """
+        spare, t = self.free & ~col_mask, 0
+        for r in ones(col_mask & ~self.free):
+            hit = spare & self.col_masks[self.match[r]]
+            if hit:
+                spare ^= hit & -hit
+                t += 1
+        return self.alpha + 1 - max(1, (self.free & col_mask).bit_count() + t)
 
     def forced_weight(self, col_mask: int) -> int:
         """The weight of cell (i, j): dropping the rows with a one at j isolates j and leaves its remainder."""
-        gone = [col_mask >> r & 1 for r in self.left]
-        adjacency = [[] if out else adj for out, adj in zip(gone, self.adjacency)]
-        warm = [-1 if out else c for out, c in zip(gone, self.match)]
-        nu = sum(c >= 0 for c in bipartite_matching(adjacency, self.n_right, warm))
-        return 1 + len(self.left) - sum(gone) + self.n_right - nu
+        rows = [r for r in self.left if not col_mask >> r & 1]
+        _, sub_match = _submatching(self.adjacency, self.match, rows, self.right)
+        return 1 + len(rows) + len(self.right) - sum(c >= 0 for c in sub_match)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,21 @@ def test_bench_duality_quick_run(tmp_path):
     assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
 
 
+def test_bench_duality_against_a_tree(tmp_path):
+    out = tmp_path / "BENCH.json"
+    args = ["--quick", "--against", str(ROOT), "--label", "change", "--out", str(out)]
+    result = json.loads(run_script("bench_duality.py", args))
+    assert list(result) == ["parent", "change"] and json.loads(out.read_text()) == result
+    for side in result.values():
+        assert side["alternated"] and side["repeats"] == 2 and side["python"]
+        assert list(side["groups"]) == ["random 16-40", "random 2-8", "PG(2, 2)", "PG(2, 3)"]
+        assert all(len(group["times_s"]) == 2 for group in side["groups"].values())
+    # the same tree on both sides solves the same matchings
+    parent, change = ({name: g["matchings_per_report"] for name, g in result[side]["groups"].items()}
+                      for side in ("parent", "change"))
+    assert parent == change and change["PG(2, 3)"] == 2
+
+
 def test_bench_pipeline_quick_run(tmp_path):
     out = tmp_path / "BENCH.json"
     out.write_text('{"parent": {}}\n')
