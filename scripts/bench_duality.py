@@ -10,10 +10,11 @@ REPEATS runs (one with --quick) is reported.
 Matchings are counted by wrapping matching.bipartite_matching, the name
 every matching the search solves goes through, in a separate untimed pass.
 
-With --against DIR, the package under DIR/src is timed as well, in a child
-process that runs this script on the same inputs. The two trees take turns
-for PAIRS rounds (two with --quick), the first tree of a round alternating,
-so host drift reaches both alike; DIR's result is labelled "parent".
+With --against DIR, the package under DIR/src and this one are each timed
+in a child process that runs this script on the same inputs. The two trees
+take turns for PAIRS rounds (two with --quick), the first tree of a round
+alternating, so host drift reaches both alike; DIR's result is labelled
+"parent".
 
 The result is printed as JSON; with --out it is also stored in that file
 under --label (and "parent"), next to the labels already there, so one file
@@ -28,6 +29,7 @@ import random
 import statistics
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from time import perf_counter
 
@@ -116,34 +118,37 @@ def serve(groups: dict[str, list[BinaryMatrix]]) -> None:
 
 
 def alternate(groups: dict[str, list[BinaryMatrix]], other: Path, pairs: int, child_args: list[str]) -> dict:
-    """Per side, "parent" and this tree, its provenance and groups timed over pairs rounds, the first alternating."""
-    paths = [str(other / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    cmd = [sys.executable, __file__, *child_args, "--serve"]
-    with subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+    """Per side, "parent" and this tree, its provenance and groups timed over pairs rounds, the first alternating.
 
-        def reply() -> dict:
-            line = child.stdout.readline()
+    Each side runs in its own --serve child, so both are timed the same way.
+    """
+    sources = {"parent": other / "src", "this": Path(pglatin.__file__).resolve().parent.parent}
+    cmd = [sys.executable, __file__, *child_args, "--serve"]
+    with ExitStack() as stack:
+        children = {}
+        for side, src in sources.items():
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            popen = subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            children[side] = stack.enter_context(popen)
+
+        def reply(side: str) -> dict:
+            line = children[side].stdout.readline()
             if not line:
-                raise SystemExit(f"error: the run of {other / 'src'} stopped; its error is above")
+                raise SystemExit(f"error: the run of {sources[side]} stopped; its error is above")
             return json.loads(line)
 
         def run_round(side: str) -> dict[str, float]:
-            if side == "this":
-                return {name: time_once(group) for name, group in groups.items()}
-            child.stdin.write("\n")
-            child.stdin.flush()
-            return reply()
+            children[side].stdin.write("\n")
+            children[side].stdin.flush()
+            return reply(side)
 
-        sides = {"parent": reply(), "this": provenance()}
-        counts = {"parent": sides["parent"].pop("matchings_per_report")}
-        counts["this"] = {name: matchings_per_report(group) for name, group in groups.items()}
+        sides = {side: reply(side) for side in sources}
+        counts = {side: source.pop("matchings_per_report") for side, source in sides.items()}
         times = {side: {name: [] for name in groups} for side in sides}
         for k in range(pairs):
             for side in ("this", "parent") if k % 2 == 0 else ("parent", "this"):
                 for name, seconds in run_round(side).items():
                     times[side][name].append(seconds)
-        child.stdin.close()
     return {
         side: (sides[side], {name: summary(len(group), times[side][name], counts[side][name])
                              for name, group in groups.items()})

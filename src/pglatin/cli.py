@@ -145,12 +145,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_plane(args: argparse.Namespace) -> int:
-    matrix = _read_matrix(args.input)
-    try:
-        geometry = geometry_from_incidence(matrix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    geometry = geometry_from_incidence(_read_matrix(args.input))
     verdict = plane_check(geometry)
     _emit(
         {

@@ -34,29 +34,21 @@ def bipartite_matching(
             match_right[c] = r
 
     def augment(start: int, seen: list[bool]) -> bool:
-        came_from: dict[int, int] = {}
-        stack = [start]
-        iters = {start: iter(adjacency[start])}
+        # the stack is the alternating path: each row above start owns the column the row below it took
+        stack = [(start, iter(adjacency[start]))]
         while stack:
-            r = stack[-1]
-            for c in iters[r]:
+            for c in stack[-1][1]:
                 if seen[c]:
                     continue
                 seen[c] = True
-                came_from[c] = r
                 owner = match_right[c]
                 if owner < 0:
-                    # free column found: flip the alternating path back to start
-                    while True:
-                        prev_owner = came_from[c]
-                        next_c = match_left[prev_owner]
-                        match_left[prev_owner] = c
-                        match_right[c] = prev_owner
-                        if prev_owner == start:
-                            return True
-                        c = next_c
-                stack.append(owner)
-                iters[owner] = iter(adjacency[owner])
+                    # free column found: each row on the path takes the column it reached, top row first
+                    for r, _ in reversed(stack):
+                        match_right[c] = r
+                        match_left[r], c = c, match_left[r]
+                    return True
+                stack.append((owner, iter(adjacency[owner])))
                 break
             else:
                 stack.pop()
@@ -177,7 +169,8 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     which also warm-start every cell solved. The first zero cell is solved
     first; the others are grouped by the side the global selection left
     empty, heaviest bound first, and a group with two or more cells that can
-    still win is decided by one _Relaxation.
+    still win gets one _Relaxation, whose heavy column decides the group and
+    whose caps otherwise prune the cells solved.
     """
     n = f.cols
     rows_in, cols_in = _independent_selection(adjacency, n, match_left)
@@ -266,13 +259,9 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
                     bound = min(bound, relaxed.augmented_cap(g_col_masks[j]))
             if not beats(bound, key):
                 continue
-            if relaxed is None:
-                block = cell_block(divmod(key, n))
-                w = block.weight
-            else:
-                block, w = None, relaxed.forced_weight(g_col_masks[j])
-            if beats(w, key):
-                best, weight, best_key = block, w, key
+            block = cell_block(divmod(key, n))
+            if beats(block.weight, key):
+                best, weight, best_key = block, block.weight, key
     return best if best is not None else cell_block(divmod(best_key, n))
 
 
@@ -290,22 +279,22 @@ class _Relaxation:
 
     alpha = rows + cols - nu is the best selection there. Cell (i, j) weighs
     1 + alpha exactly when column j is heavy: no alternating path from an
-    unmatched row reaches it. Without a heavy column, a cell is solved here
-    only when its cap can still win.
+    unmatched row reaches it. Without a heavy column, the caps bound each
+    cell's weight.
     """
 
     def __init__(self, adjacency: list[list[int]], match_left: list[int], col_masks: Sequence[int], i: int,
                  mask: int) -> None:
-        self.left = [r for r in range(len(adjacency)) if r != i]
-        self.right = right = ones((1 << len(col_masks)) - 1 ^ mask)
-        sub_adj, sub_match = _submatching(adjacency, match_left, self.left, right)
-        self.alpha = len(self.left) + len(right) - sum(c >= 0 for c in sub_match)
+        left = [r for r in range(len(adjacency)) if r != i]
+        right = ones((1 << len(col_masks)) - 1 ^ mask)
+        sub_adj, sub_match = _submatching(adjacency, match_left, left, right)
+        self.alpha = len(left) + len(right) - sum(c >= 0 for c in sub_match)
         self.heavy = [right[k] for k in _independent_selection(sub_adj, len(right), sub_match)[1]]
         # the relaxation's pairs by row and column of the matrix, and its unmatched rows
         self.match = [right[c] if c >= 0 else -1 for c in sub_match]
         self.match.insert(i, -1)
-        self.free = sum(1 << r for r in self.left if self.match[r] < 0)
-        self.adjacency, self.col_masks = adjacency, col_masks
+        self.free = sum(1 << r for r in left if self.match[r] < 0)
+        self.col_masks = col_masks
 
     def cap(self, col_mask: int) -> int:
         """augmented_cap without its augmentations (t = 0): no search, so it is tried first."""
@@ -327,12 +316,6 @@ class _Relaxation:
                 spare ^= hit & -hit
                 t += 1
         return self.alpha + 1 - max(1, (self.free & col_mask).bit_count() + t)
-
-    def forced_weight(self, col_mask: int) -> int:
-        """The weight of cell (i, j): dropping the rows with a one at j isolates j and leaves its remainder."""
-        rows = [r for r in self.left if not col_mask >> r & 1]
-        _, sub_match = _submatching(self.adjacency, self.match, rows, self.right)
-        return 1 + len(rows) + len(self.right) - sum(c >= 0 for c in sub_match)
 
 
 @dataclass(frozen=True)

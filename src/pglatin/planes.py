@@ -62,8 +62,9 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def _monic_polys(p: int, degree: int):
+    """Monic polynomials of the given degree, the lower coefficients read as a base-p number, smallest first."""
     for lower in product(range(p), repeat=degree):
-        yield tuple(lower) + (1,)
+        yield lower[::-1] + (1,)
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -79,18 +80,8 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """The first monic irreducible of the given degree in coefficient order.
-
-    Candidates x**degree + c are scanned with the non-leading coefficients
-    read as a base-p number, smallest first.
-    """
-    for m in range(p**degree):
-        digits = []
-        rest = m
-        for _ in range(degree):
-            digits.append(rest % p)
-            rest //= p
-        candidate = tuple(digits) + (1,)
+    """The first monic irreducible of the given degree in _monic_polys order."""
+    for candidate in _monic_polys(p, degree):
         if is_irreducible(candidate, p):
             return candidate
     raise RuntimeError(f"no irreducible of degree {degree} over Z_{p}; this cannot happen")
@@ -237,7 +228,8 @@ def build_pg2(q: int) -> PlaneBundle:
 
 def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
     """Read rows as lines over column-indexed points and validate the axioms."""
-    return validate_geometry(m.cols, map(ones, m.masks))
+    # ones() lists each row's points sorted and once, the form Geometry checks for
+    return Geometry(m.cols, tuple(tuple(ones(mask)) for mask in m.masks))
 
 
 def incidence_from_geometry(g: Geometry) -> BinaryMatrix:

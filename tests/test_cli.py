@@ -197,8 +197,8 @@ class TestVerifyPlane:
     def test_rejects_non_geometry(self, tmp_path, capsys):
         path = tmp_path / "x.inc"
         path.write_text(to_inc_text(BinaryMatrix.ones(2, 2)))
-        code, _, err = run(capsys, "verify-plane", "--in", str(path))
-        assert code == 1 and "error" in err
+        code, out, err = run(capsys, "verify-plane", "--in", str(path))
+        assert (code, out, err) == (1, "", "error: points (0, 1) lie on lines 0 and 1\n")
 
 
 class TestVerifyMpls:

@@ -48,13 +48,17 @@ class TestIrreducibles:
         assert is_irreducible((1, 0, 1), 3)
 
     def test_smallest_choices(self):
-        # non-leading coefficients read as a base-p number, smallest wins
+        # non-leading coefficients read as a base-p number, smallest wins; the modulus fixes
+        # every .inc byte of PG(2, p**k), so every p**k <= 64 with k >= 2 is pinned
         assert smallest_irreducible(2, 2) == (1, 1, 1)
         assert smallest_irreducible(2, 3) == (1, 1, 0, 1)
         assert smallest_irreducible(3, 2) == (1, 0, 1)
         assert smallest_irreducible(2, 4) == (1, 1, 0, 0, 1)
         assert smallest_irreducible(5, 2) == (2, 0, 1)
         assert smallest_irreducible(3, 3) == (1, 2, 0, 1)
+        assert smallest_irreducible(2, 5) == (1, 0, 1, 0, 0, 1)
+        assert smallest_irreducible(7, 2) == (1, 0, 1)
+        assert smallest_irreducible(2, 6) == (1, 1, 0, 0, 0, 0, 1)
 
 
 class TestFiniteField:
