@@ -13,19 +13,34 @@ time of each stage is reported:
 
 Every run checks its results: the matrix reads back unchanged, the plane
 passes both definitions with order q, the square set is complete, and
-reconstruct gives back the canonical matrix. The result is printed as
-JSON; with --out it is also stored in that file under --label, next to
-the labels already there, as bench_duality.py does.
+reconstruct gives back the canonical matrix.
+
+Each order also gets cold-start rows: the README chain (gen-plane, canon,
+extract, verify-mpls, reconstruct, verify-plane) run step by step as
+`python -m pglatin.cli` in a fresh interpreter, on the same src/ this
+script imports, with PYTHONDONTWRITEBYTECODE=1 so that no step leaves
+bytecode for the next (bytecode already cached under src/ is still read);
+the rebuilt matrix must equal the canonical one.
+The `interpreter` row, a bare `python -c pass`, is the floor every step
+pays. Each row is the median of the same repeats.
+
+The result is printed as JSON; with --out it is also stored in that file
+under --label, next to the labels already there, as bench_duality.py does.
 """
 
 import argparse
 import json
+import os
 import platform
 import random
 import statistics
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import pglatin
 from bench_duality import relabelled_plane, source_sha, store
 from pglatin.binmat import from_inc_text, to_inc_text
 from pglatin.canonical import canonicalize, extract_mpls, reconstruct
@@ -60,11 +75,41 @@ def run_once(q: int, relabelled) -> dict[str, float]:
     return times
 
 
+def cold_start_once(q: int, workdir: Path) -> dict[str, float]:
+    env = {**os.environ, "PYTHONPATH": str(Path(pglatin.__file__).resolve().parent.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    cli = ["-m", "pglatin.cli"]
+    steps = {
+        "interpreter": ["-c", "pass"],
+        "gen-plane": [*cli, "gen-plane", "--order", str(q), "--out", "p.inc"],
+        "canon": [*cli, "canon", "--in", "p.inc", "--out", "c.inc", "--meta", "m.json"],
+        "extract": [*cli, "extract", "--in", "c.inc", "--out-dir", "sq"],
+        "verify-mpls": [*cli, "verify-mpls", "--in-dir", "sq"],
+        "reconstruct": [*cli, "reconstruct", "--in-dir", "sq", "--out", "r.inc"],
+        "verify-plane": [*cli, "verify-plane", "--in", "r.inc"],
+    }
+    times = {}
+    for step, args in steps.items():
+        start = perf_counter()
+        proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True, text=True)
+        times[step] = perf_counter() - start
+        if proc.returncode != 0:
+            raise SystemExit(f"{step} at q = {q} exited {proc.returncode}: {proc.stderr.strip()}")
+    if (workdir / "r.inc").read_bytes() != (workdir / "c.inc").read_bytes():
+        raise SystemExit(f"rebuilt matrix differs from the canonical one at q = {q}")
+    return times
+
+
+def medians(runs: list[dict[str, float]]) -> dict[str, float]:
+    return {stage: round(statistics.median(run[stage] for run in runs), 5) for stage in runs[0]}
+
+
 def measure(q: int, rng: random.Random, repeats: int) -> dict:
     relabelled = relabelled_plane(q, rng)
-    runs = [run_once(q, relabelled) for _ in range(repeats)]
-    stages = {stage: round(statistics.median(run[stage] for run in runs), 5) for stage in runs[0]}
-    return {"n": q * q + q + 1, "stages_s": stages, "total_s": round(sum(stages.values()), 5)}
+    stages = medians([run_once(q, relabelled) for _ in range(repeats)])
+    with tempfile.TemporaryDirectory() as workdir:
+        cold = medians([cold_start_once(q, Path(workdir)) for _ in range(repeats)])
+    return {"n": q * q + q + 1, "stages_s": stages, "total_s": round(sum(stages.values()), 5), "cold_start_s": cold}
 
 
 def main() -> None:

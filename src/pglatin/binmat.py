@@ -204,20 +204,26 @@ def is_permutation_matrix(m: BinaryMatrix) -> bool:
 # plain text serialization: a header line "rows cols" followed by one line of
 # space-separated 0/1 digits per row
 
-_INC_CHARS = frozenset("0123456789 \n")
+# deletes every character an .inc text may hold; what is left is illegal
+_INC_CHARS = str.maketrans("", "", "0123456789 \n")
 
 
 def to_inc_text(m: BinaryMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
+    # one row's bytes: digits at even offsets, then a space or the final newline
+    row = bytearray(b"0 " * m.cols)
+    row[-1:] = b"\n"
+    lines = [f"{m.rows} {m.cols}\n"]
+    spec = f"0{m.cols}b"
     for mask in m.masks:
-        lines.append(" ".join(format(mask, f"0{m.cols}b")[::-1]))
-    return "\n".join(lines) + "\n"
+        row[::2] = format(mask, spec)[::-1].encode()
+        lines.append(row.decode())
+    return "".join(lines)
 
 
 def from_inc_text(text: str) -> BinaryMatrix:
-    bad = set(text) - _INC_CHARS
-    if bad:
-        raise FormatError(f"illegal character {sorted(bad)[0]!r} in matrix text")
+    leftover = text.translate(_INC_CHARS)
+    if leftover:
+        raise FormatError(f"illegal character {min(leftover)!r} in matrix text")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -7,19 +7,12 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .binmat import BinaryMatrix, FormatError, from_inc_text, to_inc_text
-from .canonical import canonicalize, extract_mpls, reconstruct
-from .geometry import (
-    PencilWithTransversal,
-    classify_v_eq_b,
-    geometry_from_json,
-    geometry_to_json,
-    plane_check,
-)
-from .latin import MplsSet, from_ls_text, resolvability_report, to_ls_text, verify_mpls
-from .matching import decompose_regular, duality_report
-from .planes import build_pg2, geometry_from_incidence
+
+if TYPE_CHECKING:
+    from .latin import MplsSet
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,6 +78,7 @@ def _read_matrix(path: Path) -> BinaryMatrix:
 
 
 def _load_mpls_dir(path: Path) -> MplsSet:
+    from .latin import MplsSet, from_ls_text
     found = {}
     for entry in sorted(path.iterdir()):
         match = re.fullmatch(r"L(\d+)\.ls", entry.name)
@@ -105,6 +99,8 @@ def _load_mpls_dir(path: Path) -> MplsSet:
 
 
 def _cmd_gen_plane(args: argparse.Namespace) -> int:
+    from .geometry import geometry_to_json
+    from .planes import build_pg2
     bundle = build_pg2(args.order)
     args.out.write_text(to_inc_text(bundle.incidence))
     if args.json is not None:
@@ -115,6 +111,7 @@ def _cmd_gen_plane(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
+    from .canonical import canonicalize
     form = canonicalize(_read_matrix(args.input))
     args.out.write_text(to_inc_text(form.matrix))
     meta = {
@@ -128,6 +125,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .canonical import canonicalize, extract_mpls
+    from .latin import to_ls_text
     form = canonicalize(_read_matrix(args.input))
     squares = extract_mpls(form)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,6 +137,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    from .canonical import reconstruct
     matrix = reconstruct(_load_mpls_dir(args.in_dir))
     args.out.write_text(to_inc_text(matrix))
     _emit({"out": str(args.out), "size": matrix.rows})
@@ -145,6 +145,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_plane(args: argparse.Namespace) -> int:
+    from .geometry import plane_check
+    from .planes import geometry_from_incidence
     geometry = geometry_from_incidence(_read_matrix(args.input))
     verdict = plane_check(geometry)
     _emit(
@@ -160,6 +162,7 @@ def _cmd_verify_plane(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mpls(args: argparse.Namespace) -> int:
+    from .latin import verify_mpls
     squares = _load_mpls_dir(args.in_dir)
     report = verify_mpls(squares)
     _emit(
@@ -175,6 +178,7 @@ def _cmd_verify_mpls(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .matching import decompose_regular
     matrix = _read_matrix(args.input)
     degree = matrix.masks[0].bit_count()
     parts = decompose_regular(matrix, degree)
@@ -186,6 +190,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
+    from .matching import duality_report
     report = duality_report(_read_matrix(args.input))
     w_witness = None
     if report.w_witness is not None:
@@ -204,6 +209,7 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .geometry import PencilWithTransversal, classify_v_eq_b, geometry_from_json
     payload = json.loads(args.input.read_text())
     geometry = geometry_from_json(payload)
     shape = classify_v_eq_b(geometry)
@@ -215,6 +221,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    from .latin import resolvability_report
     squares = _load_mpls_dir(args.in_dir)
     if not 1 <= args.target <= len(squares.squares):
         print(f"error: --target must sit in 1..{len(squares.squares)}", file=sys.stderr)

@@ -12,7 +12,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .binmat import FormatError, ones
-from .matching import bipartite_matching
 
 
 class GeometryError(ValueError):
@@ -294,6 +293,7 @@ def incident_injection(g: Geometry) -> dict[int, int]:
     """
     if g.b < 2:
         raise ValueError(f"injection needs at least two lines, got b={g.b}")
+    from .matching import bipartite_matching
     adjacency: list[list[int]] = [[] for _ in range(g.point_count)]
     for idx, line in enumerate(g.lines):
         for p in line:

@@ -293,3 +293,15 @@ def per_cell_zero_block(rows: int, cols: int, data):
         if best is None or len(found[0]) + len(found[1]) > len(best[0]) + len(best[1]):
             best = found
     return best
+
+
+def joined_inc_text(rows: int, cols: int, masks) -> str:
+    """`.inc` text of the matrix whose row i has cell (i, j) at bit j of masks[i].
+
+    The package's writer before it filled a byte template per row: each row
+    is one str.join of its digits, the lines another join.
+    """
+    lines = [f"{rows} {cols}"]
+    for mask in masks:
+        lines.append(" ".join(format(mask, f"0{cols}b")[::-1]))
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import joined_inc_text
 from pglatin.binmat import (
     BinaryMatrix,
     FormatError,
@@ -12,6 +15,9 @@ from pglatin.binmat import (
     permute,
     to_inc_text,
 )
+from pglatin.matching import decompose_regular
+from pglatin.planes import build_pg2
+from samples import random_matrix
 
 
 def small_matrices(max_rows=5, max_cols=5):
@@ -181,6 +187,8 @@ class TestIncText:
         ("\n", "header must be exactly 'rows cols'"),
         ("2 2\n1 0\n0 x\n", "illegal character 'x' in matrix text"),
         ("1 2\n1\t0\n", "illegal character '\\t' in matrix text"),
+        ("2 2\n1 z\nx\t1\r\n", "illegal character '\\t' in matrix text"),
+        ("2 2\n1 z\nx 1\n", "illegal character 'x' in matrix text"),
         ("2\n1 0\n", "header must be exactly 'rows cols'"),
         ("1 2 3\n1 0\n", "header must be exactly 'rows cols'"),
         ("0 2\n", "dimensions must be positive"),
@@ -202,6 +210,27 @@ def test_inc_format_errors_are_pinned(text, message):
     with pytest.raises(FormatError) as exc:
         from_inc_text(text)
     assert str(exc.value) == message
+
+
+def inc_text_inputs():
+    """Seeded edge shapes, random matrices, PG(2, q) for q <= 9 and its permutation parts."""
+    rng = random.Random(20261019)
+    found = [BinaryMatrix(1, 1, (0,)), BinaryMatrix(1, 1, (1,))]
+    for n in (2, 7, 63, 64, 65, 200):
+        found += [random_matrix(rng, 1, n, 0.5), random_matrix(rng, n, 1, 0.5)]
+        found += [BinaryMatrix.zeros(n, n + 3), BinaryMatrix.ones(n + 3, n)]
+    found += [random_matrix(rng, rng.randint(1, 40), rng.randint(1, 40), rng.random()) for _ in range(100)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        incidence = build_pg2(q).incidence
+        found += [incidence, *decompose_regular(incidence, q + 1)]
+    return found
+
+
+def test_inc_text_matches_joined_writer():
+    for m in inc_text_inputs():
+        text = to_inc_text(m)
+        assert text == joined_inc_text(m.rows, m.cols, m.masks), m
+        assert from_inc_text(text) == m
 
 
 def test_bool_and_float_cells_are_written_as_digits():

@@ -77,4 +77,10 @@ def test_bench_pipeline_quick_run(tmp_path):
         "reconstruct",
     ]
     assert result["orders"]["PG(2, 3)"]["n"] == 13 and result["repeats"] == 1
+    for order in result["orders"].values():
+        cold = order["cold_start_s"]
+        assert list(cold) == [
+            "interpreter", "gen-plane", "canon", "extract", "verify-mpls", "reconstruct", "verify-plane"
+        ]
+        assert all(seconds > 0 for seconds in cold.values())
     assert result["python"] and set(json.loads(out.read_text())) == {"parent", "change"}
