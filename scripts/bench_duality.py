@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time duality_report in-process and count the matchings it solves.
+"""Time duality_report in a child process and count the matchings it solves.
 
 Three groups: a seeded population of 160 random matrices with sides
 16..40, 40 at each density 0.1 / 0.3 / 0.5 / 0.7; 1,000 random matrices
@@ -10,11 +10,11 @@ REPEATS runs (one with --quick) is reported.
 Matchings are counted by wrapping matching.bipartite_matching, the name
 every matching the search solves goes through, in a separate untimed pass.
 
-With --against DIR, the package under DIR/src and this one are each timed
-in a child process that runs this script on the same inputs. The two trees
-take turns for PAIRS rounds (two with --quick), the first tree of a round
-alternating, so host drift reaches both alike; DIR's result is labelled
-"parent".
+Each tree is timed in a child process that runs this script on the same
+inputs with --serve. With --against DIR, the package under DIR/src and this
+one take turns for PAIRS rounds (two with --quick), the first tree of a
+round alternating, so host drift reaches both alike; DIR's result is
+labelled "parent".
 
 The result is printed as JSON; with --out it is also stored in that file
 under --label (and "parent"), next to the labels already there, so one file
@@ -100,29 +100,26 @@ def summary(inputs: int, times: list[float], matchings: float) -> dict:
     }
 
 
-def measure(group: list[BinaryMatrix], repeats: int) -> dict:
-    times = [time_once(group) for _ in range(repeats)]
-    return summary(len(group), times, matchings_per_report(group))
-
-
 def provenance() -> dict:
     return {"git_sha": source_sha(), "python": platform.python_version()}
 
 
 def serve(groups: dict[str, list[BinaryMatrix]]) -> None:
-    """The child side of --against: first the provenance and matchings, then one timed run per line read."""
+    """The child side: first the provenance and matchings, then one timed run per line read."""
     counts = {name: matchings_per_report(group) for name, group in groups.items()}
     print(json.dumps({**provenance(), "matchings_per_report": counts}), flush=True)
     for _ in sys.stdin:
         print(json.dumps({name: time_once(group) for name, group in groups.items()}), flush=True)
 
 
-def alternate(groups: dict[str, list[BinaryMatrix]], other: Path, pairs: int, child_args: list[str]) -> dict:
-    """Per side, "parent" and this tree, its provenance and groups timed over pairs rounds, the first alternating.
+def alternate(groups: dict[str, list[BinaryMatrix]], other: Path | None, rounds: int, child_args: list[str]) -> dict:
+    """Per side, "parent" (the tree at other, if any) and this tree, its provenance and groups timed over rounds.
 
-    Each side runs in its own --serve child, so both are timed the same way.
+    Each side runs in its own --serve child, so both are timed the same way;
+    with two sides, the first of a round alternates.
     """
-    sources = {"parent": other / "src", "this": Path(pglatin.__file__).resolve().parent.parent}
+    this = Path(pglatin.__file__).resolve().parent.parent
+    sources = {"this": this} if other is None else {"parent": other / "src", "this": this}
     cmd = [sys.executable, __file__, *child_args, "--serve"]
     with ExitStack() as stack:
         children = {}
@@ -145,8 +142,8 @@ def alternate(groups: dict[str, list[BinaryMatrix]], other: Path, pairs: int, ch
         sides = {side: reply(side) for side in sources}
         counts = {side: source.pop("matchings_per_report") for side, source in sides.items()}
         times = {side: {name: [] for name in groups} for side in sides}
-        for k in range(pairs):
-            for side in ("this", "parent") if k % 2 == 0 else ("parent", "this"):
+        for k in range(rounds):
+            for side in reversed(sources) if k % 2 == 0 else sources:
                 for name, seconds in run_round(side).items():
                     times[side][name].append(seconds)
     return {
@@ -192,12 +189,10 @@ def main() -> None:
     if args.serve:
         serve(groups)
         return
-    if args.against is None:
-        sides = {"this": (provenance(), {name: measure(group, repeats) for name, group in groups.items()})}
-    else:
+    if args.against is not None:
         repeats = 2 if args.quick else PAIRS
-        child_args = ["--seed", str(args.seed), *(["--quick"] if args.quick else [])]
-        sides = alternate(groups, args.against, repeats, child_args)
+    child_args = ["--seed", str(args.seed), *(["--quick"] if args.quick else [])]
+    sides = alternate(groups, args.against, repeats, child_args)
     meta = {"seed": args.seed, "repeats": repeats, "alternated": args.against is not None}
     results = {
         args.label if side == "this" else side: {**source, **meta, "groups": timed}

@@ -10,28 +10,19 @@ raise inside duality_report.
 import argparse
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from pglatin import BinaryMatrix, duality_report
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    samples: int
-    max_side: int
-    density: float
-    seed: int
-
-
-def run_survey(cfg: SurveyConfig) -> None:
-    rng = random.Random(cfg.seed)
+def run_survey(samples: int, max_side: int, density: float, seed: int) -> None:
+    rng = random.Random(seed)
     gaps: Counter[int] = Counter()
     full_rank = 0
     no_zero = 0
-    for _ in range(cfg.samples):
-        rows = rng.randint(1, cfg.max_side)
-        cols = rng.randint(1, cfg.max_side)
-        data = tuple(1 if rng.random() < cfg.density else 0 for _ in range(rows * cols))
+    for _ in range(samples):
+        rows = rng.randint(1, max_side)
+        cols = rng.randint(1, max_side)
+        data = tuple(1 if rng.random() < density else 0 for _ in range(rows * cols))
         report = duality_report(BinaryMatrix(rows, cols, data))
         if report.v == min(rows, cols):
             full_rank += 1
@@ -40,12 +31,12 @@ def run_survey(cfg: SurveyConfig) -> None:
             continue
         gaps[report.dual_bound - report.w] += 1
 
-    print(f"samples: {cfg.samples} (max side {cfg.max_side}, density {cfg.density}, seed {cfg.seed})")
+    print(f"samples: {samples} (max side {max_side}, density {density}, seed {seed})")
     print(f"v reached min(m, n) in {full_rank} samples")
     print(f"matrices without a single zero: {no_zero}")
     print("gap (m + n - v) - w for the rest:")
     for gap in sorted(gaps):
-        bar = "#" * max(1, round(40 * gaps[gap] / cfg.samples))
+        bar = "#" * max(1, round(40 * gaps[gap] / samples))
         print(f"  {gap:2d}: {gaps[gap]:6d}  {bar}")
     if any(g > 0 for g in gaps):
         print(
@@ -62,7 +53,7 @@ def main() -> None:
     parser.add_argument("--density", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    run_survey(SurveyConfig(args.samples, args.max_side, args.density, args.seed))
+    run_survey(args.samples, args.max_side, args.density, args.seed)
 
 
 if __name__ == "__main__":

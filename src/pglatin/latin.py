@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .binmat import FormatError
 
@@ -28,15 +28,19 @@ class LatinSquare:
         if n < 1:
             raise ValueError("need at least one row")
         expected = set(range(1, n + 1))
+        # rows_with[j][s]: the row holding symbol s in column j; -1 marks a gap
+        rows_with = [[-1] * (n + 1) for _ in range(n)]
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if set(row) != expected:
                 raise ValueError(f"row {i} is not a permutation of 1..{n}: {row!r}")
-        for j in range(n):
-            column = {row[j] for row in self.entries}
-            if column != expected:
+            for column, symbol in zip(rows_with, row):
+                column[symbol] = i
+        for j, column in enumerate(rows_with):
+            if -1 in column[1:]:
                 raise ValueError(f"column {j} is not a permutation of 1..{n}")
+        object.__setattr__(self, "_rows_with", rows_with)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> LatinSquare:
@@ -100,25 +104,25 @@ def random_latin_square(order: int, rng: random.Random) -> LatinSquare:
     return LatinSquare(tuple(rows))
 
 
-def _meetings(a: LatinSquare, b: LatinSquare) -> list[list[int]]:
-    """meet[ra][c]: the row of b whose entry at column c equals a's at (ra, c).
-
-    Rows ra and rb agree in meet[ra].count(rb) columns.
-    """
+def _disagreements(a: LatinSquare, b: LatinSquare) -> Iterator[tuple[int, int, int]]:
+    """(ra, rb, agree) for each row pair of a and b that agrees in agree != 1 columns."""
     if a.order != b.order:
         raise ValueError(f"orders differ: {a.order} vs {b.order}")
-    row_of = [[0] * (b.order + 1) for _ in range(b.order)]
-    for rb, row in enumerate(b.entries):
-        for c, symbol in enumerate(row):
-            row_of[c][symbol] = rb
-    return [[row_of[c][symbol] for c, symbol in enumerate(row)] for row in a.entries]
+    for ra, row in enumerate(a.entries):
+        # meet[c]: the row of b whose entry at column c equals a's at (ra, c)
+        meet = [column[symbol] for column, symbol in zip(b._rows_with, row)]
+        if len(set(meet)) == a.order:
+            continue
+        for rb in range(a.order):
+            agree = meet.count(rb)
+            if agree != 1:
+                yield ra, rb, agree
 
 
 def projective_pair(a: LatinSquare, b: LatinSquare) -> bool:
     """True when both squares have unit diagonals and any row of a shares
     exactly one position-with-equal-entry with any row of b."""
-    table = _meetings(a, b)
-    return a.has_unit_diagonal and b.has_unit_diagonal and all(len(set(m)) == a.order for m in table)
+    return not any(_disagreements(a, b)) and a.has_unit_diagonal and b.has_unit_diagonal
 
 
 @dataclass(frozen=True)
@@ -156,17 +160,11 @@ class MplsReport:
 
 def verify_mpls(s: MplsSet) -> MplsReport:
     """Check pairwise projectivity; completeness additionally needs order - 1 members."""
-    violations: list[str] = []
-    for i, j in combinations(range(len(s.squares)), 2):
-        for ra, meet in enumerate(_meetings(s.squares[i], s.squares[j])):
-            if len(set(meet)) == s.order:
-                continue
-            for rb in range(s.order):
-                agree = meet.count(rb)
-                if agree != 1:
-                    violations.append(
-                        f"squares {i} and {j}: rows {ra} and {rb} agree in {agree} columns, expected 1"
-                    )
+    violations = [
+        f"squares {i} and {j}: rows {ra} and {rb} agree in {agree} columns, expected 1"
+        for i, j in combinations(range(len(s.squares)), 2)
+        for ra, rb, agree in _disagreements(s.squares[i], s.squares[j])
+    ]
     is_mpls = not violations
     return MplsReport(is_mpls, is_mpls and len(s.squares) == s.order - 1, tuple(violations))
 
@@ -227,14 +225,13 @@ def transversals_from_companion(host: LatinSquare, companion: LatinSquare) -> li
     an equal entry; those cells form a transversal of the host, and over
     all s they partition its cells.
     """
-    table = _meetings(host, companion)
-    n = host.order
-    if not (host.has_unit_diagonal and companion.has_unit_diagonal) or any(len(set(m)) != n for m in table):
+    if not projective_pair(host, companion):
         raise ValueError("host and companion are not a projective pair")
+    n = host.order
     placements: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for r, (row, meet) in enumerate(zip(host.entries, table)):
-        for c, (symbol, s) in enumerate(zip(row, meet)):
-            placements[s].append((r, c, symbol))
+    for r, row in enumerate(host.entries):
+        for c, (symbol, column) in enumerate(zip(row, companion._rows_with)):
+            placements[column[symbol]].append((r, c, symbol))
     return [Transversal(n, tuple(cells)) for cells in placements]
 
 

@@ -56,8 +56,34 @@ class TestLatinSquare:
             LatinSquare(((1, 1), (2, 2)))
 
     def test_column_not_permutation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^column 0 is not a permutation of 1\.\.2$"):
             LatinSquare(((1, 2), (1, 2)))
+        with pytest.raises(ValueError, match=r"^column 1 is not a permutation of 1\.\.3$"):
+            LatinSquare(((1, 2, 3), (2, 3, 1), (3, 2, 1)))
+        # seeded squares whose rows stay permutations after swaps inside rows;
+        # the message names the lowest column that lost a symbol
+        rng = random.Random(5)
+        lowest_seen, last_bad, raised = set(), 0, 0
+        for n in range(2, 10):
+            for _ in range(40):
+                rows = [list(row) for row in random_latin_square(n, rng).entries]
+                for r in rng.sample(range(n), rng.randint(1, 2)):
+                    i = rng.randrange(n - 1)
+                    j = rng.randrange(i + 1, n)
+                    rows[r][i], rows[r][j] = rows[r][j], rows[r][i]
+                bad = [j for j in range(n) if {row[j] for row in rows} != set(range(1, n + 1))]
+                if not bad:
+                    continue
+                with pytest.raises(ValueError) as err:
+                    LatinSquare.from_rows(rows)
+                assert str(err.value) == f"column {bad[0]} is not a permutation of 1..{n}"
+                lowest_seen.add((n, bad[0]))
+                last_bad += bad[-1] == n - 1
+                raised += 1
+        assert raised >= 200 and last_bad >= 100
+        # every column but the last is the lowest bad one somewhere; the last
+        # never is, since n - 1 good columns leave it a permutation too
+        assert lowest_seen == {(n, j) for n in range(2, 10) for j in range(n - 1)}
 
     def test_ragged(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
-"""The lazy package namespace, and the modules each CLI subcommand loads.
+"""The lazy package namespace, the modules each CLI subcommand loads, and
+the package's standard-library-only imports.
 
 Module sets are read in a fresh interpreter, since this one has imported
 every module already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -113,3 +115,16 @@ def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
 def test_plane_subcommands_skip_canonical_latin_and_matching(inputs, argv):
     loaded = cli_modules(inputs, *argv)
     assert {"planes", "geometry"} <= loaded and not loaded & {"canonical", "latin", "matching"}
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((SRC / "pglatin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {name}"

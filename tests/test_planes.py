@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from pglatin.planes import (
 class TestPrimePower:
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        for n in range(-5, 10_001):
+            assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
 
     def test_prime_power_factors(self):
         assert prime_power(2) == (2, 1)
