@@ -43,8 +43,9 @@ class Geometry:
         used = sorted({0}.union(*self.lines))
         rank = {p: i for i, p in enumerate(used)}
         gap = next((i for i, p in enumerate(used) if p != i), len(used))
-        # joined[i]: the ranks above i already on a line with rank i
-        joined: dict[int, int] = {}
+        # joined[i]: the other ranks already on a line with rank i; a pair on two lines
+        # shows first at its lower point, since a lower overlap would have stopped the scan
+        joined = [0] * len(used)
         masks = []
         for idx, line in enumerate(self.lines):
             if tuple(sorted(set(line))) != line:
@@ -60,8 +61,7 @@ class Geometry:
                 )
             mask = sum(1 << rank[p] for p in line)
             for i in map(rank.get, line):
-                above = mask >> i + 1 << i + 1
-                twice = joined.get(i, 0) & above
+                twice = joined[i] & mask
                 if twice:
                     j = ones(twice)[0]
                     first = next(k for k, m in enumerate(masks) if m >> i & m >> j & 1)
@@ -69,12 +69,12 @@ class Geometry:
                     raise GeometryError(
                         "pair_on_two_lines", pair, f"points {pair} lie on lines {first} and {idx}"
                     )
-                joined[i] = joined.get(i, 0) | above
+                joined[i] |= mask ^ 1 << i
             masks.append(mask)
         for p in range(v - 1):
             # the lowest point above p not yet joined to it; no line holds gap,
             # so when gap < v the scan stops at p = 0
-            missing = ~(joined.get(p, 0) | (2 << p) - 1)
+            missing = ~(joined[p] | (2 << p) - 1)
             q = min((missing & -missing).bit_length() - 1, gap)
             if q < v:
                 raise GeometryError("pair_on_no_line", (p, q), f"points {(p, q)} lie on no common line")
