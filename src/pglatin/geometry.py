@@ -43,8 +43,8 @@ class Geometry:
         used = sorted({0}.union(*self.lines))
         rank = {p: i for i, p in enumerate(used)}
         gap = next((i for i, p in enumerate(used) if p != i), len(used))
-        # joined[i]: the other ranks already on a line with rank i; a pair on two lines
-        # shows first at its lower point, since a lower overlap would have stopped the scan
+        # joined[i]: the other ranks already on a line with rank i; a line's ranks are read
+        # in increasing order, so a pair it shares with an earlier line shows at its lower point
         joined = [0] * len(used)
         masks = []
         for idx, line in enumerate(self.lines):
