@@ -34,8 +34,8 @@ def test_script_runs(script, args, line):
     assert line in run_script(script, args).splitlines()
 
 
-def check_bench_side(side, rounds):
-    """One tree's result from a --quick run of bench_pipeline.py timed over rounds."""
+def check_duality_groups(side, rounds):
+    """The duality groups of one tree's result from a --quick run of bench_pipeline.py timed over rounds."""
     assert side["python"] and side["repeats"] == rounds
     groups = side["groups"]
     assert list(groups) == ["random 16-40", "random 2-8", "PG(2, 2)", "PG(2, 3)"]
@@ -43,6 +43,12 @@ def check_bench_side(side, rounds):
     assert groups["random 2-8"]["inputs"] == 20
     # a plane's report solves its global matching and one forced cell
     assert groups["PG(2, 3)"]["matchings_per_report"] == 2
+    assert all(len(row["times_s"]) == rounds and "median_s" in row for row in groups.values())
+
+
+def check_pipeline_orders(side, rounds):
+    """The round-trip stages and cold-start steps of one tree's result from a --quick run timed over rounds."""
+    assert side["python"] and side["repeats"] == rounds
     orders = side["orders"]
     assert list(orders) == ["PG(2, 2)", "PG(2, 3)"] and orders["PG(2, 3)"]["n"] == 13
     for order in orders.values():
@@ -63,16 +69,34 @@ def check_bench_side(side, rounds):
             "interpreter", "gen-plane", "canon", "extract", "verify-mpls", "reconstruct", "verify-plane"
         ]
         assert all(row["median_s"] > 0 for row in cold.values())
-        timed = [*groups.values(), *order["stages_s"].values(), order["total_s"], *cold.values()]
+        timed = [*order["stages_s"].values(), order["total_s"], *cold.values()]
         assert all(len(row["times_s"]) == rounds and "median_s" in row for row in timed)
 
 
-def test_bench_pipeline_quick_run(tmp_path):
-    out = tmp_path / "BENCH.json"
+def check_bench_side(side, rounds):
+    check_duality_groups(side, rounds)
+    check_pipeline_orders(side, rounds)
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """One --quick run of bench_pipeline.py on this tree, stored under "change" next to an earlier "parent"."""
+    out = tmp_path_factory.mktemp("bench") / "BENCH.json"
     out.write_text('{"parent": {}}\n')
     result = json.loads(run_script("bench_pipeline.py", ["--quick", "--label", "change", "--out", str(out)]))
-    check_bench_side(result, 1)
-    assert not result["alternated"] and set(json.loads(out.read_text())) == {"parent", "change"}
+    return result, json.loads(out.read_text())
+
+
+def test_bench_duality_quick_run(quick_run):
+    result, stored = quick_run
+    check_duality_groups(result, 1)
+    assert set(stored) == {"parent", "change"}
+
+
+def test_bench_pipeline_quick_run(quick_run):
+    result, stored = quick_run
+    check_pipeline_orders(result, 1)
+    assert not result["alternated"] and set(stored) == {"parent", "change"}
 
 
 def test_bench_pipeline_against_a_tree(tmp_path):
