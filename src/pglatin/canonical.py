@@ -19,11 +19,11 @@ lowest original index, after which the identity constraints pin down every
 position inside the blocks. Re-running the procedure on its own output is
 therefore the identity.
 
-The later inner block rows encode unit-diagonal Latin squares: writing j
-for the inner column in which a block holds a one at cell (r, c) yields
-square entries, one square per block row, and those squares are mutually
-projective. The reverse direction rebuilds the matrix from a complete set
-of squares.
+The later inner block rows encode unit-diagonal Latin squares, one per
+block row, with entry j at (r, c) when inner block j holds a one there.
+They are mutually projective only when the matrix is a plane, as it is for
+every form canonicalize returns: it runs the plane test first. The reverse
+direction rebuilds the matrix from a complete set of squares.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _miscovered(blocks: list[list[int]], k: int) -> tuple[int, int, int] | None:
 
 
 def verify_block_form(bf: BlockForm) -> BlockFormReport:
-    """Check every structural rule of the canonical layout and list failures."""
+    """Check every rule of the canonical layout, not that the matrix is a plane, and list failures."""
     problems: list[str] = []
     k = bf.order
     n = k * k + k + 1
@@ -203,12 +203,12 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
 
 
 def extract_mpls(bf: BlockForm) -> MplsSet:
-    """Read the mutually projective squares out of a verified block form.
+    """Read the unit-diagonal Latin squares out of a verified block form.
 
     Inner block row i (from the second onward) becomes one square: its
     entry at (r, c) is the inner column index of the block holding a one
-    there. The identity blocks in the first inner column put ones on every
-    diagonal.
+    there, and the identity blocks in the first inner column put ones on
+    every diagonal. They are mutually projective only when the matrix is a plane.
     """
     if not bf._report.ok:
         raise ValueError(f"block form violates the layout: {bf._report.first}")

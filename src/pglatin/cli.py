@@ -77,15 +77,29 @@ def _read_matrix(path: Path) -> BinaryMatrix:
     return from_inc_text(path.read_text())
 
 
+def _numbered_files(path: Path, letter: str, suffix: str) -> list[tuple[int, Path]]:
+    """(i, file) for each file in path named <letter><i><suffix> with i in digits, in name order."""
+    pattern = re.compile(rf"{letter}(\d+){re.escape(suffix)}")
+    matches = ((pattern.fullmatch(entry.name), entry) for entry in sorted(path.iterdir()))
+    return [(int(match.group(1)), entry) for match, entry in matches if match]
+
+
+def _refuse_stale(out_dir: Path, letter: str, suffix: str, count: int) -> bool:
+    """Print an error and return True when out_dir holds a numbered file that count new ones would not overwrite."""
+    written = {f"{letter}{i}{suffix}" for i in range(1, count + 1)}
+    numbered = _numbered_files(out_dir, letter, suffix) if out_dir.is_dir() else []
+    stale = [entry.name for _, entry in numbered if entry.name not in written]
+    if stale:
+        print(f"error: {out_dir} already holds {stale[0]}, which this run would not overwrite", file=sys.stderr)
+    return bool(stale)
+
+
 def _load_mpls_dir(path: Path) -> MplsSet:
     from .latin import MplsSet, from_ls_text
     found = {}
-    for entry in sorted(path.iterdir()):
-        match = re.fullmatch(r"L(\d+)\.ls", entry.name)
-        if match:
-            number = int(match.group(1))
-            if found.setdefault(number, entry) != entry:
-                raise FormatError(f"{found[number].name} and {entry.name} both hold square {number}")
+    for number, entry in _numbered_files(path, "L", ".ls"):
+        if found.setdefault(number, entry) != entry:
+            raise FormatError(f"{found[number].name} and {entry.name} both hold square {number}")
     if not found:
         raise FormatError(f"no L<i>.ls files in {path}")
     count = len(found)
@@ -129,6 +143,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     from .latin import to_ls_text
     form = canonicalize(_read_matrix(args.input))
     squares = extract_mpls(form)
+    if _refuse_stale(args.out_dir, "L", ".ls", len(squares.squares)):
+        return 2
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, square in enumerate(squares.squares, start=1):
         (args.out_dir / f"L{idx}.ls").write_text(to_ls_text(square))
@@ -182,6 +198,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     degree = matrix.masks[0].bit_count()
     parts = decompose_regular(matrix, degree)
+    if _refuse_stale(args.out_dir, "P", ".inc", len(parts)):
+        return 2
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, part in enumerate(parts, start=1):
         (args.out_dir / f"P{idx}.inc").write_text(to_inc_text(part))

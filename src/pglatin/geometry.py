@@ -225,19 +225,15 @@ class PlaneVerdict:
 
 
 def plane_check(g: Geometry) -> PlaneVerdict:
-    rep = structure_report(g)
+    # four independent points imply v >= 4 and b >= 2, so neither set below is empty
+    degrees = _point_degrees(g)
+    sizes = {mask.bit_count() for mask in g._line_masks}
     quad = find_four_independent(g)
-    first = (
-        rep.is_regular
-        and rep.is_uniform
-        and rep.r == rep.k
-        and quad is not None
-    )
-    second = quad is not None and sum(r * (r - 1) for r in _point_degrees(g)) == g.b * (g.b - 1)
+    first = quad is not None and len(sizes) == 1 and set(degrees) == sizes
+    second = quad is not None and sum(r * (r - 1) for r in degrees) == g.b * (g.b - 1)
     order = None
     if first and second:
-        assert rep.k is not None
-        order = rep.k - 1
+        order = sizes.pop() - 1
         if g.v != g.b or g.v != order * order + order + 1:
             raise RuntimeError(
                 f"plane of order {order} must have {order * order + order + 1} points and lines, "

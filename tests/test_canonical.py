@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import unit_diagonal_squares
+from samples import NON_PLANE_SQUARES, block_layout, relabelled
 from pglatin import canonical as canonical_module
 from pglatin.binmat import BinaryMatrix, Permutation, permute
 from pglatin.canonical import (
@@ -18,6 +19,7 @@ from pglatin.canonical import (
     reconstruct,
     verify_block_form,
 )
+from pglatin.geometry import GeometryError
 from pglatin.latin import LatinSquare, MplsSet, projective_pair, verify_mpls
 from pglatin.planes import geometry_from_incidence, incidence_from_geometry
 
@@ -257,6 +259,30 @@ class TestExtract:
         with pytest.raises(ValueError, match="corner block"):
             extract_mpls(broken)
         assert calls[-1] is broken
+
+
+class TestLayoutIsNoPlaneCertificate:
+    """A matrix in the canonical layout whose squares are not mutually projective."""
+
+    def test_layout_passes_but_squares_are_not_mpls(self):
+        m = block_layout(NON_PLANE_SQUARES)
+        assert m.rows == m.cols == 21
+        form = BlockForm(m, 4, Permutation.identity(21), Permutation.identity(21))
+        assert verify_block_form(form).ok
+        squares = extract_mpls(form)
+        assert [sq.entries for sq in squares.squares] == list(NON_PLANE_SQUARES)
+        report = verify_mpls(squares)
+        assert not report.is_mpls
+        assert len(report.violations) == 24
+        assert report.violations[0] == "squares 0 and 1: rows 0 and 2 agree in 0 columns, expected 1"
+
+    def test_canonicalize_rejects_it(self):
+        m = block_layout(NON_PLANE_SQUARES)
+        with pytest.raises(GeometryError, match=r"^points \(12, 14\) lie on lines 11 and 13$"):
+            canonicalize(m)
+        for seed in (0, 1):
+            with pytest.raises(GeometryError):
+                canonicalize(relabelled(m, random.Random(seed)))
 
 
 class TestReconstruct:

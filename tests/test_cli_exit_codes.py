@@ -2,6 +2,7 @@
 
 import pytest
 
+from samples import NON_PLANE_SQUARES, block_layout
 from pglatin.binmat import to_inc_text
 from pglatin.cli import main
 from pglatin.geometry import Geometry
@@ -41,3 +42,54 @@ def test_verify_plane_rejects_large_near_pencil(tmp_path, capsys):
     code = main(["verify-plane", "--in", str(path)])
     assert code == 1
     assert '"first_def": false' in capsys.readouterr().out
+
+
+def test_block_layout_of_non_projective_squares_is_no_plane(tmp_path, monkeypatch, capsys):
+    # the layout passes verify_block_form, but every step that needs a plane still tests for one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.inc").write_text(to_inc_text(block_layout(NON_PLANE_SQUARES)))
+    for argv in (
+        ["canon", "--in", "x.inc", "--out", "c.inc", "--meta", "m.json"],
+        ["extract", "--in", "x.inc", "--out-dir", "sq"],
+        ["verify-plane", "--in", "x.inc"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: points (12, 14) lie on lines 11 and 13\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["x.inc"]
+    assert main(["matching", "--in", "x.inc"]) == 0
+
+
+def _snapshot(d):
+    return {path.name: path.read_bytes() for path in d.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, name, count", [("extract", "L{}.ls", lambda q: q - 1), ("decompose", "P{}.inc", lambda q: q + 1)]
+)
+def test_out_dir_with_stale_numbered_files_is_refused(command, name, count, tmp_path, capsys):
+    for q in (2, 3):
+        assert main(["gen-plane", "--order", str(q), "--out", str(tmp_path / f"p{q}.inc")]) == 0
+    out = tmp_path / "out"
+
+    def run(q):
+        return main([command, "--in", str(tmp_path / f"p{q}.inc"), "--out-dir", str(out)])
+
+    assert run(3) == 0
+    written = _snapshot(out)
+    assert sorted(written) == sorted(name.format(i) for i in range(1, count(3) + 1))
+    assert run(3) == 0  # a rerun at the same order overwrites every file
+    assert _snapshot(out) == written
+    capsys.readouterr()
+
+    assert run(2) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out} already holds {name.format(count(3))}, which this run would not overwrite\n"
+    assert _snapshot(out) == written
+
+    padded = out / name.format("01")
+    padded.write_bytes(written[name.format(1)])
+    assert run(3) == 2
+    assert capsys.readouterr().err == f"error: {out} already holds {padded.name}, which this run would not overwrite\n"
+    assert _snapshot(out) == {**written, padded.name: written[name.format(1)]}

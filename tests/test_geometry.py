@@ -11,6 +11,7 @@ from pglatin.geometry import (
     Geometry,
     GeometryError,
     PencilWithTransversal,
+    PlaneVerdict,
     ProjectivePlane,
     classify_v_eq_b,
     find_four_independent,
@@ -194,6 +195,16 @@ class TestPlaneCheck:
     def test_triangle(self):
         verdict = plane_check(Geometry(3, ((0, 1), (0, 2), (1, 2))))
         assert not verdict.first_def and not verdict.second_def
+
+    def test_affine_plane_fails_both(self, plane_cache):
+        # AG(2, 3): regular and uniform with four independent points, but r = 4 and k = 3,
+        # and parallel lines do not meet
+        g = plane_cache(3).geometry
+        affine = subgeometry(g, set(range(g.v)) - set(g.lines[0]))
+        rep = structure_report(affine)
+        assert (rep.is_regular, rep.r, rep.is_uniform, rep.k) == (True, 4, True, 3)
+        assert find_four_independent(affine) is not None
+        assert plane_check(affine) == PlaneVerdict(False, False, None)
 
 
 class TestClassify:
