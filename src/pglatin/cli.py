@@ -85,7 +85,7 @@ def _numbered_files(path: Path, letter: str, suffix: str) -> list[tuple[int, Pat
 
 
 def _refuse_stale(out_dir: Path, letter: str, suffix: str, count: int) -> bool:
-    """Print an error and return True when out_dir holds a numbered file that count new ones would not overwrite."""
+    """True, after printing an error, when out_dir holds a numbered file that files 1..count would not overwrite."""
     written = {f"{letter}{i}{suffix}" for i in range(1, count + 1)}
     numbered = _numbered_files(out_dir, letter, suffix) if out_dir.is_dir() else []
     stale = [entry.name for _, entry in numbered if entry.name not in written]

@@ -1,4 +1,4 @@
-"""Seeded test inputs shared by the differential test modules."""
+"""Test inputs shared by several test modules: seeded random matrices and relabellings, and block layouts."""
 
 import random
 
