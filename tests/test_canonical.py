@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import unit_diagonal_squares
 from samples import NON_PLANE_SQUARES, block_layout, relabelled
 from pglatin import canonical as canonical_module
-from pglatin.binmat import BinaryMatrix, Permutation, permute
+from pglatin.binmat import BinaryMatrix, Permutation, permute, to_inc_text
 from pglatin.canonical import (
     BlockForm,
     canonicalize,
@@ -72,6 +72,32 @@ class TestCanonicalizePlanes:
     def test_round_trip_through_squares(self, q, canonical_cache):
         form = canonical_cache(q)
         assert reconstruct(extract_mpls(form)) == form.matrix
+
+
+# sha256 over three seeded relabellings of PG(2, q) of each canonical form's
+# .inc text and the JSON of its row and column permutation images, recorded
+# before canonicalize read the inner blocks from line meets; the form must
+# not depend on how the orders are found
+CANON_DIGESTS = {
+    2: "75495b321659af6f93f9a00527c5812345bfd0c759e12991ebca55b87662f598",
+    3: "8e6b2818988b76ec762e1170ed878e986ad53b9bec072058748f116ce7314947",
+    4: "a3dc8b9170c69619a83660772c39f125174ed0d4d70fadc510bdab21d58a66ea",
+    5: "08af25d948529babe307a4ab286dd2e9042c344431ac60bf314eba4b1dcc84be",
+    7: "25f920a7a3652fd692a7565348ed4b6463cbbffdbdd5f1fca4584a60afe76212",
+    8: "c17ed62f6694e1a30bb73b848c186277269f83a987de8cb6dc41f62d0ff3b343",
+    9: "c3ca59ef4b0fe6bb37d31ffc2db036da77d275e41c625df3739419afca596610",
+    16: "4d99769afac081989c2d3eac37750f33247d21e0927dbbf686bf75bf54dc053d",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CANON_DIGESTS))
+def test_canonical_form_of_relabelled_planes_is_pinned(q, plane_cache):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        form = canonicalize(relabelled(plane_cache(q).incidence, random.Random(seed)))
+        digest.update(to_inc_text(form.matrix).encode())
+        digest.update(json.dumps([form.row_perm.images, form.col_perm.images]).encode())
+    assert digest.hexdigest() == CANON_DIGESTS[q]
 
 
 class TestVerifyBlockForm:
