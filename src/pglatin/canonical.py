@@ -13,11 +13,16 @@ points) can be permuted into a fixed block layout over the partition
   * within any later inner block row the blocks occupy pairwise disjoint
     positions and add up to the all-ones matrix, and dually for columns.
 
-Row 0 of the input is taken as the first line; its points, the lines
-through its lowest point, and all remaining free orderings are resolved by
-lowest original index, after which the identity constraints pin down every
-position inside the blocks. Re-running the procedure on its own output is
-therefore the identity.
+Row 0 of the input is taken as line 0 and its lowest point as p1. Three
+orders are free, and each is taken in increasing index: line 0's points,
+the lines through p1, and the first inner row band (the lines through the
+second point of line 0 that miss p1). Two distinct lines of a plane meet in
+exactly one point, and these meets fix every other order: inner column
+block j lists where the first band's lines meet the j-th line through p1
+after line 0, and each later row band, the lines through a further point of
+line 0 that miss p1, is ordered by where its lines meet the first of those
+lines through p1. Re-running the procedure on its own output is therefore
+the identity.
 
 The later inner block rows encode unit-diagonal Latin squares, one per
 block row, with entry j at (r, c) when inner block j holds a one there.
@@ -57,12 +62,9 @@ class BlockForm:
         return verify_block_form(self)
 
 
-def _span(i: int, k: int) -> tuple[int, int]:
-    """Start and stop of block i along either axis of the order-k layout."""
-    if i == 0:
-        return 0, k + 1
-    start = k + 1 + (i - 1) * k
-    return start, start + k
+def _edges(k: int) -> list[int]:
+    """Where each block of the order-k layout starts along either axis, then the side k² + k + 1."""
+    return [0, *range(k + 1, k * k + k + 2, k)]
 
 
 def canonicalize(m: BinaryMatrix) -> BlockForm:
@@ -73,56 +75,40 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     canonical ones, so permute(m, row_perm, col_perm) reproduces the
     canonical matrix.
     """
-    g = geometry_from_incidence(m)
-    verdict = plane_check(g)
+    verdict = plane_check(geometry_from_incidence(m))
     if not (verdict.first_def and verdict.second_def):
         raise ValueError("input is not the incidence matrix of a projective plane")
     assert verdict.order is not None
     k = verdict.order
-    n = m.rows
     rows = m.masks
 
-    line1_pts = ones(rows[0])
-    p1 = line1_pts[0]
-    block1_rows = [r for r in range(n) if rows[r] >> p1 & 1]
-
-    col_order = list(line1_pts)
-    for r in block1_rows[1:]:
-        col_order.extend(ones(rows[r] ^ 1 << p1))
-
-    row_order = list(block1_rows)
-    for ps in line1_pts[1:]:
-        # the lines through ps that miss p1
-        both = 1 << ps | 1 << p1
-        row_order.extend(r for r in range(n) if rows[r] & both == 1 << ps)
-
-    # inner identity normalization: first reorder each inner column block so
-    # the block in the first inner row becomes the identity, then reorder the
-    # rows of the later inner row blocks against the first inner column block
-    first_inner_rows = row_order[slice(*_span(1, k))]
-    for j in range(1, k + 1):
-        start, stop = _span(j, k)
-        segment = sum(1 << c for c in col_order[start:stop])
-        hits = [rows[r] & segment for r in first_inner_rows]
-        if any(hit.bit_count() != 1 for hit in hits):
+    def meet(r: int, line: int) -> int:
+        hit = rows[r] & rows[line]
+        if hit.bit_count() != 1:
             raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
-        col_order[start:stop] = [hit.bit_length() - 1 for hit in hits]
-    first_inner_cols = col_order[slice(*_span(1, k))]
-    local_of = {c: local for local, c in enumerate(first_inner_cols)}
-    first_inner = sum(1 << c for c in first_inner_cols)
-    for i in range(2, k + 1):
-        start, stop = _span(i, k)
-        new_rows: list[int | None] = [None] * k
-        for r in row_order[start:stop]:
-            hit = rows[r] & first_inner
-            if hit.bit_count() != 1 or new_rows[local_of[hit.bit_length() - 1]] is not None:
-                raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
-            new_rows[local_of[hit.bit_length() - 1]] = r
-        row_order[start:stop] = new_rows  # type: ignore[assignment]
+        return hit.bit_length() - 1
+
+    # free: line 0's points, the lines through p1 (line 0 first) and each
+    # band, the lines through a later point of line 0 that miss p1
+    line0 = ones(rows[0])
+    p1 = line0[0]
+    pencil = [r for r, mask in enumerate(rows) if mask >> p1 & 1]
+    bands = [[r for r, mask in enumerate(rows) if mask & (1 << ps | 1 << p1) == 1 << ps] for ps in line0[1:]]
+    # fixed by the meets: inner column block j is where the first band meets
+    # pencil[j], so every block of the first inner row band is the identity;
+    # each later band takes the order in which its lines meet pencil[1], so
+    # every block of the first inner column is the identity too
+    blocks = [[meet(r, line) for r in bands[0]] for line in pencil[1:]]
+    row_order = pencil + bands[0]
+    for band in bands[1:]:
+        by_meet = {meet(r, pencil[1]): r for r in band}
+        if len(by_meet) != k:
+            raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
+        row_order += [by_meet[p] for p in blocks[0]]
 
     # position -> original, checked to be a bijection, inverted to original -> position
     row_perm = Permutation(tuple(row_order)).inverse()
-    col_perm = Permutation(tuple(col_order)).inverse()
+    col_perm = Permutation(tuple(line0 + [p for block in blocks for p in block])).inverse()
     form = BlockForm(permute(m, row_perm, col_perm), k, row_perm, col_perm)
     if not form._report.ok:
         raise RuntimeError(f"canonicalization produced an invalid block form: {form._report.first}")
@@ -164,11 +150,12 @@ def verify_block_form(bf: BlockForm) -> BlockFormReport:
     if bf.matrix.rows != n or bf.matrix.cols != n:
         return BlockFormReport((f"matrix is {bf.matrix.rows}x{bf.matrix.cols}, expected {n}x{n}",))
     # pieces[r][j]: the bits of row r inside block column j, shifted down to bit 0
+    edges = _edges(k)
     width = [(1 << k + 1) - 1] + [(1 << k) - 1] * k
-    pieces = [[mask >> _span(j, k)[0] & width[j] for j in range(k + 1)] for mask in bf.matrix.masks]
+    pieces = [[mask >> edges[j] & width[j] for j in range(k + 1)] for mask in bf.matrix.masks]
 
     def cut(i: int, j: int) -> list[int]:
-        return [row[j] for row in pieces[slice(*_span(i, k))]]
+        return [row[j] for row in pieces[edges[i]:edges[i + 1]]]
 
     if cut(0, 0) != [(1 << k + 1) - 1] + [1] * k:
         problems.append("corner block must have ones exactly in its first row and first column")
@@ -213,13 +200,13 @@ def extract_mpls(bf: BlockForm) -> MplsSet:
     if not bf._report.ok:
         raise ValueError(f"block form violates the layout: {bf._report.first}")
     k = bf.order
-    masks = bf.matrix.masks
+    edges = _edges(k)
     squares = []
     for i in range(2, k + 1):
         cells = [[0] * k for _ in range(k)]
-        for r, mask in enumerate(masks[slice(*_span(i, k))]):
+        for r, mask in enumerate(bf.matrix.masks[edges[i]:edges[i + 1]]):
             for j in range(1, k + 1):
-                piece = mask >> _span(j, k)[0]
+                piece = mask >> edges[j]
                 cells[r][(piece & -piece).bit_length() - 1] = j
         squares.append(LatinSquare.from_rows(cells))
     return MplsSet(k, tuple(squares))
@@ -236,19 +223,19 @@ def reconstruct(s: MplsSet) -> BinaryMatrix:
     if not report.is_complete:
         detail = report.violations[0] if report.violations else f"{len(s.squares)} squares, need {s.order - 1}"
         raise ValueError(f"reconstruction needs a complete set: {detail}")
-    k = s.order
-    n = k * k + k + 1
-    # border band: row 0 fills the corner's first row, row r starts the
-    # corner's first column and fills top block r
-    full = (1 << k) - 1
-    masks = [(1 << k + 1) - 1] + [1 | full << _span(r, k)[0] for r in range(1, k + 1)]
-    # inner bands: left block i has its ones in column i, the first band
-    # holds identity blocks and every later band one square
-    for i in range(1, k + 1):
-        for r in range(k):
-            if i == 1:
-                cells = [(j, r) for j in range(1, k + 1)]
-            else:
-                cells = [(s.squares[i - 2].entries[r][c], c) for c in range(k)]
-            masks.append(sum(1 << _span(j, k)[0] + c for j, c in cells) | 1 << i)
-    return BinaryMatrix.from_masks(n, masks)
+    return _layout(s.order, [square.entries for square in s.squares])
+
+
+def _layout(k: int, squares) -> BinaryMatrix:
+    """The canonical layout of order k with one later inner band per square, given as rows of symbols 1..k.
+
+    Fixed borders and an identity first inner band; entry j at (r, c) of a
+    square puts row r's one in inner block j at column c. The squares need
+    not be mutually projective, so the matrix need not be a plane.
+    """
+    edges = _edges(k)
+    masks = [(1 << k + 1) - 1] + [1 | (1 << k) - 1 << edges[r] for r in range(1, k + 1)]
+    masks += [1 << 1 | sum(1 << edges[j] + r for j in range(1, k + 1)) for r in range(k)]
+    for i, rows in enumerate(squares, start=2):
+        masks += [1 << i | sum(1 << edges[j] + c for c, j in enumerate(row)) for row in rows]
+    return BinaryMatrix.from_masks(edges[-1], masks)

@@ -228,7 +228,10 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .geometry import PencilWithTransversal, classify_v_eq_b, geometry_from_json
-    payload = json.loads(args.input.read_text())
+    try:
+        payload = json.loads(args.input.read_text())
+    except RecursionError as exc:  # nesting too deep for the decoder
+        raise FormatError(str(exc)) from None
     geometry = geometry_from_json(payload)
     shape = classify_v_eq_b(geometry)
     if isinstance(shape, PencilWithTransversal):
@@ -277,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (FormatError, json.JSONDecodeError) as exc:
+    except (FormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import unit_diagonal_squares
-from samples import NON_PLANE_SQUARES, block_layout, relabelled
+from samples import NON_PLANE_SQUARES, relabelled
 from pglatin import canonical as canonical_module
 from pglatin.binmat import BinaryMatrix, Permutation, permute, to_inc_text
 from pglatin.canonical import (
     BlockForm,
+    _layout,
     canonicalize,
     extract_mpls,
     reconstruct,
@@ -291,7 +292,7 @@ class TestLayoutIsNoPlaneCertificate:
     """A matrix in the canonical layout whose squares are not mutually projective."""
 
     def test_layout_passes_but_squares_are_not_mpls(self):
-        m = block_layout(NON_PLANE_SQUARES)
+        m = _layout(4, NON_PLANE_SQUARES)
         assert m.rows == m.cols == 21
         form = BlockForm(m, 4, Permutation.identity(21), Permutation.identity(21))
         assert verify_block_form(form).ok
@@ -303,7 +304,7 @@ class TestLayoutIsNoPlaneCertificate:
         assert report.violations[0] == "squares 0 and 1: rows 0 and 2 agree in 0 columns, expected 1"
 
     def test_canonicalize_rejects_it(self):
-        m = block_layout(NON_PLANE_SQUARES)
+        m = _layout(4, NON_PLANE_SQUARES)
         with pytest.raises(GeometryError, match=r"^points \(12, 14\) lie on lines 11 and 13$"):
             canonicalize(m)
         for seed in (0, 1):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from samples import NON_PLANE_SQUARES, block_layout
+from samples import NON_PLANE_SQUARES
 from pglatin.binmat import to_inc_text
+from pglatin.canonical import _layout
 from pglatin.cli import main
 from pglatin.geometry import Geometry
 from pglatin.latin import LatinSquare, to_ls_text
@@ -35,6 +36,34 @@ def test_mixed_square_orders_are_a_format_error(argv, mixed_dir, capsys):
     assert captured.err == "format error: L2.ls has order 2, expected 3 as in L1.ls\n"
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("x.inc", ["matching", "--in", "x.inc"]),
+        ("sq/L1.ls", ["verify-mpls", "--in-dir", "sq"]),
+        ("g.json", ["classify", "--in", "g.json"]),
+    ],
+)
+def test_undecodable_input_is_a_format_error(name, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sq").mkdir()
+    (tmp_path / name).write_bytes(b"\xff 1\n")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "format error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+def test_over_deep_json_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("[" * 200_000)
+    code = main(["classify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("format error: maximum recursion depth exceeded")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_plane_rejects_large_near_pencil(tmp_path, capsys):
     g = Geometry(120, (tuple(range(119)),) + tuple((p, 119) for p in range(119)))
     path = tmp_path / "pencil.inc"
@@ -47,7 +76,7 @@ def test_verify_plane_rejects_large_near_pencil(tmp_path, capsys):
 def test_block_layout_of_non_projective_squares_is_no_plane(tmp_path, monkeypatch, capsys):
     # the layout passes verify_block_form, but every step that needs a plane still tests for one
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "x.inc").write_text(to_inc_text(block_layout(NON_PLANE_SQUARES)))
+    (tmp_path / "x.inc").write_text(to_inc_text(_layout(4, NON_PLANE_SQUARES)))
     for argv in (
         ["canon", "--in", "x.inc", "--out", "c.inc", "--meta", "m.json"],
         ["extract", "--in", "x.inc", "--out-dir", "sq"],
