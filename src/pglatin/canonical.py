@@ -14,15 +14,13 @@ points) can be permuted into a fixed block layout over the partition
     positions and add up to the all-ones matrix, and dually for columns.
 
 Row 0 of the input is taken as line 0 and its lowest point as p1. Three
-orders are free, and each is taken in increasing index: line 0's points,
-the lines through p1, and the first inner row band (the lines through the
-second point of line 0 that miss p1). Two distinct lines of a plane meet in
-exactly one point, and these meets fix every other order: inner column
+orders are free, each taken in increasing index: line 0's points, the lines
+through p1, and the first inner row band. Two distinct lines of a plane meet
+in exactly one point, and the meets fix every other order: inner column
 block j lists where the first band's lines meet the j-th line through p1
-after line 0, and each later row band, the lines through a further point of
-line 0 that miss p1, is ordered by where its lines meet the first of those
-lines through p1. Re-running the procedure on its own output is therefore
-the identity.
+after line 0, and each later row band is ordered by where its lines meet the
+first of those. Re-running the procedure on its own output is therefore the
+identity.
 
 The later inner block rows encode unit-diagonal Latin squares, one per
 block row, with entry j at (r, c) when inner block j holds a one there.
@@ -88,8 +86,9 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
             raise RuntimeError("inner block is not a permutation matrix; this cannot happen")
         return hit.bit_length() - 1
 
-    # free: line 0's points, the lines through p1 (line 0 first) and each
-    # band, the lines through a later point of line 0 that miss p1
+    # free, each in increasing index: line 0's points, the lines through p1
+    # (line 0 first) and the first band; band i holds the lines through
+    # point i of line 0 that miss p1
     line0 = ones(rows[0])
     p1 = line0[0]
     pencil = [r for r, mask in enumerate(rows) if mask >> p1 & 1]
