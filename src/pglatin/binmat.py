@@ -22,6 +22,19 @@ def ones(mask: int) -> list[int]:
     return found
 
 
+def _pair_scan(width: int, lines: Iterable[tuple[int, Iterable[int]]]) -> tuple:
+    """joined[i], the bits sharing a line (a mask below 2**width, its bits in increasing order) with bit i, and the
+    first clash (line, i, j): that mask and an earlier one both hold bits i < j, i lowest, then j; it stops there."""
+    joined = [0] * width
+    for line, (mask, bits) in enumerate(lines):
+        for i in bits:
+            twice = joined[i] & mask
+            if twice:
+                return joined, (line, i, (twice & -twice).bit_length() - 1)
+            joined[i] |= mask ^ 1 << i
+    return joined, None
+
+
 # cell bytes 0/1 <-> ASCII digits, for packing and unpacking rows at C speed
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -221,6 +234,8 @@ def to_inc_text(m: BinaryMatrix) -> str:
 
 
 def from_inc_text(text: str) -> BinaryMatrix:
+    """The matrix an .inc text holds. A row as to_inc_text writes it, digits 0 or 1 at even offsets and single
+    spaces between, is read in one int() call; any other is split into tokens, which read it or find its error."""
     leftover = text.translate(_INC_CHARS)
     if leftover:
         raise FormatError(f"illegal character {min(leftover)!r} in matrix text")
@@ -239,12 +254,16 @@ def from_inc_text(text: str) -> BinaryMatrix:
         raise FormatError(f"expected {rows} data lines, found {len(lines) - 1}")
     masks = []
     for lineno, line in enumerate(lines[1:], start=2):
+        # the even offsets, last first; with cols digits 0 or 1 there and cols - 1 spaces, all odd ones are spaces
+        digits = line[::-2]
+        if len(line) == 2 * cols - 1 and digits.count("0") + digits.count("1") == cols == line.count(" ") + 1:
+            masks.append(int(digits, 2))
+            continue
         tokens = line.split()
         if len(tokens) != cols:
             raise FormatError(f"line {lineno}: expected {cols} entries, found {len(tokens)}")
-        digits = "".join(tokens)
-        if len(digits) != cols or digits.count("0") + digits.count("1") != cols:
-            bad = next(tok for tok in tokens if tok not in ("0", "1"))
+        bad = next((tok for tok in tokens if tok not in ("0", "1")), None)
+        if bad is not None:
             raise FormatError(f"line {lineno}: entry must be 0 or 1, found {bad!r}")
-        masks.append(int(digits[::-1], 2))
+        masks.append(int("".join(reversed(tokens)), 2))
     return BinaryMatrix.from_masks(cols, masks)

@@ -34,11 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
+from typing import TYPE_CHECKING
 
 from .binmat import BinaryMatrix, Permutation, ones, permute
 from .geometry import plane_check
-from .latin import LatinSquare, MplsSet, verify_mpls
 from .planes import geometry_from_incidence
+
+if TYPE_CHECKING:
+    from .latin import MplsSet
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,7 @@ def extract_mpls(bf: BlockForm) -> MplsSet:
     there, and the identity blocks in the first inner column put ones on
     every diagonal. They are mutually projective only when the matrix is a plane.
     """
+    from .latin import LatinSquare, MplsSet
     if not bf._report.ok:
         raise ValueError(f"block form violates the layout: {bf._report.first}")
     k = bf.order
@@ -218,6 +222,7 @@ def reconstruct(s: MplsSet) -> BinaryMatrix:
     of ones inside the inner blocks, and the border blocks are fixed by
     the layout. The result is a plane incidence matrix of order s.order.
     """
+    from .latin import verify_mpls
     report = verify_mpls(s)
     if not report.is_complete:
         detail = report.violations[0] if report.violations else f"{len(s.squares)} squares, need {s.order - 1}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .binmat import FormatError, ones
+from .binmat import FormatError, _pair_scan, ones
 
 
 class GeometryError(ValueError):
@@ -39,38 +39,49 @@ class Geometry:
         if v < 0:
             raise ValueError(f"point count must be nonnegative, got {v}")
         # masks hold the ranks of 0 and of the points on lines, so their size follows
-        # the input, not the largest label; below gap, the first label not in used, rank = label
+        # the input, not the largest label
         used = sorted({0}.union(*self.lines))
         rank = {p: i for i, p in enumerate(used)}
-        gap = next((i for i, p in enumerate(used) if p != i), len(used))
-        # joined[i]: the other ranks already on a line with rank i; a line's ranks are read
-        # in increasing order, so a pair it shares with an earlier line shows at its lower point
-        joined = [0] * len(used)
-        masks = []
+        masks, stop = [], None
         for idx, line in enumerate(self.lines):
             if tuple(sorted(set(line))) != line:
-                raise ValueError(f"line {idx} must be a sorted duplicate-free tuple, got {line!r}")
-            for p in line:
-                if not 0 <= p < v:
-                    raise GeometryError(
-                        "point_out_of_range", (idx, p), f"line {idx} uses point {p}, valid range is 0..{v - 1}"
-                    )
-            if len(line) < 2:
-                raise GeometryError(
-                    "line_too_small", idx, f"line {idx} has {len(line)} points, need at least 2"
-                )
-            mask = sum(1 << rank[p] for p in line)
-            for i in map(rank.get, line):
-                twice = joined[i] & mask
-                if twice:
-                    j = ones(twice)[0]
-                    first = next(k for k, m in enumerate(masks) if m >> i & m >> j & 1)
-                    pair = (used[i], used[j])
-                    raise GeometryError(
-                        "pair_on_two_lines", pair, f"points {pair} lie on lines {first} and {idx}"
-                    )
-                joined[i] |= mask ^ 1 << i
-            masks.append(mask)
+                stop = ValueError(f"line {idx} must be a sorted duplicate-free tuple, got {line!r}")
+            elif line and (line[0] < 0 or line[-1] >= v):  # the line is sorted
+                p = next(p for p in line if not 0 <= p < v)
+                message = f"line {idx} uses point {p}, valid range is 0..{v - 1}"
+                stop = GeometryError("point_out_of_range", (idx, p), message)
+            if stop:
+                break
+            masks.append(sum(1 << rank[p] for p in line))
+        self._certify(used, masks, (map(rank.__getitem__, line) for line in self.lines), stop)
+
+    @classmethod
+    def _from_masks(cls, point_count: int, masks: tuple[int, ...]) -> Geometry:
+        """The geometry whose line i holds the set bits of masks[i], each below point_count, ranked as labels."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "point_count", point_count)
+        object.__setattr__(g, "lines", tuple(tuple(ones(mask)) for mask in masks))
+        g._certify(range(point_count), masks, g.lines)
+        return g
+
+    def _certify(self, used: Sequence[int], masks: Sequence[int], ranks: Iterable, stop: Exception | None = None):
+        """Check line sizes, then both pair axioms, on masks of ranks (rank r is point used[r], ranks[i]
+        lists line i's), raising the first failure in line order; stop is the next line's error, if any."""
+        v = self.point_count
+        cut = next((idx for idx, mask in enumerate(masks) if mask.bit_count() < 2), len(masks))
+        joined, clash = _pair_scan(len(used), zip(masks, ranks))
+        if clash and clash[0] < cut:
+            idx, i, j = clash
+            first = next(k for k, m in enumerate(masks) if m >> i & m >> j & 1)
+            pair = (used[i], used[j])
+            raise GeometryError("pair_on_two_lines", pair, f"points {pair} lie on lines {first} and {idx}")
+        if cut < len(masks):
+            message = f"line {cut} has {masks[cut].bit_count()} points, need at least 2"
+            raise GeometryError("line_too_small", cut, message)
+        if stop:
+            raise stop
+        # below gap, the first label not in used, rank = label
+        gap = next((i for i, p in enumerate(used) if p != i), len(used))
         for p in range(v - 1):
             # the lowest point above p not yet joined to it; no line holds gap,
             # so when gap < v the scan stops at p = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .binmat import BinaryMatrix, ones
+from .binmat import BinaryMatrix
 from .geometry import Geometry, validate_geometry
 
 DEFAULT_MAX_ORDER = 32
@@ -220,9 +220,12 @@ def build_pg2(q: int) -> PlaneBundle:
 
 
 def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
-    """Read rows as lines over column-indexed points and validate the axioms."""
-    # ones() lists each row's points sorted and once, the form Geometry checks for
-    return Geometry(m.cols, tuple(tuple(ones(mask)) for mask in m.masks))
+    """Read rows as lines over column-indexed points and validate the axioms, as Geometry does.
+
+    The checks run straight on the row masks, labels serving as ranks. The constructor ranks only
+    the labels in use, but with a column other than 0 unused both stop at the same first error.
+    """
+    return Geometry._from_masks(m.cols, m.masks)
 
 
 def incidence_from_geometry(g: Geometry) -> BinaryMatrix:

@@ -305,3 +305,33 @@ def joined_inc_text(rows: int, cols: int, masks) -> str:
     for mask in masks:
         lines.append(" ".join(format(mask, f"0{cols}b")[::-1]))
     return "\n".join(lines) + "\n"
+
+
+def token_inc_masks(text: str):
+    """An .inc text read token by token: (row masks, None), or (None, the reader's message for its first error)."""
+    leftover = set(text) - set("0123456789 \n")
+    if leftover:
+        return None, f"illegal character {min(leftover)!r} in matrix text"
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None, "empty matrix text"
+    header = lines[0].split()
+    if len(header) != 2:
+        return None, "header must be exactly 'rows cols'"
+    rows, cols = int(header[0]), int(header[1])
+    if rows < 1 or cols < 1:
+        return None, "dimensions must be positive"
+    if len(lines) - 1 != rows:
+        return None, f"expected {rows} data lines, found {len(lines) - 1}"
+    masks = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if len(tokens) != cols:
+            return None, f"line {lineno}: expected {cols} entries, found {len(tokens)}"
+        bad = [tok for tok in tokens if tok not in ("0", "1")]
+        if bad:
+            return None, f"line {lineno}: entry must be 0 or 1, found {bad[0]!r}"
+        masks.append(sum(1 << j for j, tok in enumerate(tokens) if tok == "1"))
+    return tuple(masks), None

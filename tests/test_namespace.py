@@ -101,6 +101,8 @@ def cli_modules(d, *argv):
     "argv, loaded",
     [
         (["verify-mpls", "--in-dir", "sq"], {"cli", "binmat", "latin"}),
+        (["canon", "--in", "p.inc", "--out", "c.inc", "--meta", "c.json"],
+         {"cli", "binmat", "canonical", "geometry", "planes"}),
         (["matching", "--in", "p.inc"], {"cli", "binmat", "matching"}),
         (["decompose", "--in", "p.inc", "--out-dir", "parts"], {"cli", "binmat", "matching"}),
     ],
