@@ -164,7 +164,7 @@ def verify_mpls(s: MplsSet) -> MplsReport:
     Certificate: no two rows share two cells, cell (c, x) being bit c * n + x - 1. A row spreads
     its n cells over another square's n rows, one each, so its n agreements with them are all 1
     exactly when none is 2 or more; rows of one square share no cell. After a clash, square pairs
-    are compared to list the violations, save those the scan cleared: before the clash's square.
+    are compared to list the violations, save those the scan cleared, whose later square precedes.
     """
     n = s.order
     cells = ([c * n + x - 1 for c, x in enumerate(row)] for square in s.squares for row in square.entries)
