@@ -4,9 +4,9 @@ Everything here is deliberately naive and independent of the package
 internals: subset enumeration, permutation backtracking and a plain
 augmenting-path matching. Slow but trustworthy at the sizes the tests use.
 augmenting_path_matching follows the same deterministic search order as the
-package's bipartite_matching, from an empty matching with a fresh visited
-list per search, so its matchings and per_cell_zero_block's witnesses can be
-compared with the package's tuple for tuple.
+package's bipartite_matching, from an empty or a given partial matching with
+a fresh visited list per search, so its matchings and per_cell_zero_block's
+witnesses can be compared with the package's tuple for tuple.
 """
 
 from itertools import combinations, permutations, product
@@ -197,14 +197,18 @@ def geometry_axiom_violation(point_count: int, lines):
     return None
 
 
-def augmenting_path_matching(adjacency, right_size):
+def augmenting_path_matching(adjacency, right_size, partial=None):
     """Maximum matching, rows in increasing order, neighbours in list order.
 
-    Every search starts from an empty visited list; returns each row's
-    column, or -1 for an unmatched row.
+    partial, a matching in the returned form, is copied and only the rows it
+    leaves unmatched start searches. Every search starts from an empty
+    visited list; returns each row's column, or -1 for an unmatched row.
     """
-    match_left = [-1] * len(adjacency)
+    match_left = [-1] * len(adjacency) if partial is None else list(partial)
     match_right = [-1] * right_size
+    for r, c in enumerate(match_left):
+        if c >= 0:
+            match_right[c] = r
 
     def augment(start):
         seen = [False] * right_size
@@ -238,7 +242,8 @@ def augmenting_path_matching(adjacency, right_size):
         return False
 
     for r in range(len(adjacency)):
-        augment(r)
+        if match_left[r] < 0:
+            augment(r)
     return match_left
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from pglatin.cli import main
 from pglatin.geometry import geometry_to_json
 from pglatin.latin import from_ls_text, to_ls_text
 from pglatin.planes import incidence_from_geometry
+from samples import relabelled_plane
 
 
 def run(capsys, *argv):
@@ -260,6 +263,51 @@ class TestMatching:
         assert code == 0
         payload = read_json(out)
         assert payload["w"] == 0 and payload["w_witness"] is None
+
+
+# sha256 of each P{i}.inc that decompose writes for a seeded relabelling of
+# PG(2, 16), and of matching's JSON for one of PG(2, 8), recorded before the
+# augmenting-path search became one flat loop; the search order picks every
+# permutation and witness, so a search that finds other matchings fails here
+DECOMPOSE_DIGESTS = (
+    "dacaa2d645f0865b37241ed3a5a352a302d675cb0acc678c7db6a281f140b9f1",
+    "3263548deda70b34f6b2e71d5979126e33d6c90d4dca84409a75643e89b93485",
+    "8701e991e3a5f2dbb146d0373076ae6985d423034a7e8f2ae10827e3d0d35de8",
+    "7a1f99eca673ba1cc5d1ef3af1a83322e6f9e6ce06c6f49d17671bd9b93fdeb9",
+    "05a01f6653a4b415d7231be281e4acac792d8880710802563fb31ac0211572d5",
+    "9b77b05bd95fae70e8a02ef27f13cdac0de191f106a0a8ab4f0e11f04b4a4d8a",
+    "96e17391b1355588085eca708c81b942c71bc68dc1c7f5d5877ac569370c0566",
+    "2933d94b815bdaf3cf58835ed9ef69a12a829bbce30a582ab77c23de42c8df6e",
+    "d1429e66ab0ba857159460f5794213e02bdc3e55c9080239657e4d63ec8a24c0",
+    "55c3d90ac6aa76eaeb60f3f91b60e5ced20e402625ef5add230b3a46d8559230",
+    "b68c22054978ea931e70265a449d9efff956ec1b353253ff3ff76b4c50e347c0",
+    "c38bd3a0d8779b8ab5746e8256641d56a348d21da5e8ddc074dd50ced82652ce",
+    "26e98d1f3016ca304475f5307443bdde65775f74235fcf283dac746ec8734cb8",
+    "d48362ace8998a9b09faa26244fb5b81f09fbcfb1f90dbcff0ce2efa2aee24c1",
+    "bd4d08316710ee2461c1ade71df15d1ff9c3780147a81a9a4d76b494a03b7cdc",
+    "f3ee15ae6c9bdf233e9737a57081635f2f5746cf05709e6c70e5b973d2b01e61",
+    "40371cb17e6694859e0d5bcb329ffadfb712b5b8d83ec0a683ebced00447f750",
+)
+MATCHING_DIGEST = "f5323f45587803c40375362cdf0ca8c281fbe599bacc0d4228e974ec8ea2d85e"
+
+
+def test_decompose_of_a_relabelled_plane_is_pinned(tmp_path, capsys):
+    path = tmp_path / "p.inc"
+    path.write_text(to_inc_text(relabelled_plane(16, random.Random(16))))
+    code, out, _ = run(capsys, "decompose", "--in", str(path), "--out-dir", str(tmp_path / "parts"))
+    assert code == 0 and read_json(out)["count"] == len(DECOMPOSE_DIGESTS)
+    digests = tuple(
+        hashlib.sha256((tmp_path / "parts" / f"P{i}.inc").read_bytes()).hexdigest()
+        for i in range(1, len(DECOMPOSE_DIGESTS) + 1)
+    )
+    assert digests == DECOMPOSE_DIGESTS
+
+
+def test_matching_of_a_relabelled_plane_is_pinned(tmp_path, capsys):
+    path = tmp_path / "p.inc"
+    path.write_text(to_inc_text(relabelled_plane(8, random.Random(8))))
+    code, out, _ = run(capsys, "matching", "--in", str(path))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == MATCHING_DIGEST
 
 
 class TestClassify:

@@ -1,9 +1,10 @@
 """bipartite_matching against the plain augmenting-path oracle.
 
 bipartite_matching shares one visited list across failed searches and can
-grow a given partial matching. From an empty start it must return exactly
-tests/oracles.augmenting_path_matching's assignment, and the zero-block
-cover it feeds must not depend on which maximum matching it is given.
+grow a given partial matching. From an empty start or a partial one it must
+return exactly tests/oracles.augmenting_path_matching's assignment, leaving
+its arguments as they were, and the zero-block cover it feeds must not
+depend on which maximum matching it is given.
 """
 
 import random
@@ -69,6 +70,43 @@ def test_decompose_regular_follows_the_oracle():
             adjacency[r].remove(c)
         expected.append(tuple(1 << c for c in match_left))
     assert [part.masks for part in decompose_regular(f, 10)] == expected
+
+
+def assert_same_warm_start(adjacency, right_size: int, partial: list[int]) -> None:
+    adjacency_before, partial_before = [list(cols) for cols in adjacency], list(partial)
+    grown = bipartite_matching(adjacency, right_size, partial)
+    assert grown == augmenting_path_matching(adjacency, right_size, partial), (adjacency, partial)
+    # decompose_regular and every cell solve reuse both after the call
+    assert adjacency == adjacency_before and partial == partial_before
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_starts_on_random_matrices(seed):
+    rng = random.Random(100 + seed)
+    for k in range(300):
+        f = random_matrix(rng, rng.randint(1, 16), rng.randint(1, 16), (k % 19 + 1) / 20)
+        adjacency = adjacency_of(f)
+        for _ in range(2):
+            assert_same_warm_start(adjacency, f.cols, random_partial_matching(adjacency, f.cols, rng))
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7])
+def test_warm_starts_on_large_random_matrices(density):
+    rng = random.Random(100 + int(density * 10))
+    for _ in range(40):
+        f = random_matrix(rng, rng.randint(16, 40), rng.randint(16, 40), density)
+        adjacency = adjacency_of(f)
+        for _ in range(4):
+            assert_same_warm_start(adjacency, f.cols, random_partial_matching(adjacency, f.cols, rng))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_warm_starts_on_relabelled_planes(q):
+    rng = random.Random(300 + q)
+    f = relabelled_plane(q, rng)
+    adjacency = adjacency_of(f)
+    for _ in range(5):
+        assert_same_warm_start(adjacency, f.cols, random_partial_matching(adjacency, f.cols, rng))
 
 
 def test_partial_matching_is_copied_and_grown():
