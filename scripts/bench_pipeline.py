@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time duality_report and the README round trip, each tree in its own child process.
 
-Each round times three suites:
+Each round times four suites:
 
 - Duality groups: duality_report over 160 seeded random matrices with
   sides 16..40, 40 at each density 0.1 / 0.3 / 0.5 / 0.7; over 1,000 random
@@ -20,6 +20,10 @@ Each round times three suites:
   matrix reads back unchanged, the plane passes both definitions with order
   q, the square set is complete, and reconstruct gives back the canonical
   matrix. total_s is the sum of a round's stages.
+- decompose_regular on each order's seeded relabelling, timed on its own
+  and kept out of total_s. Every run checks that it returns q + 1
+  permutation matrices whose rows sum to the relabelling's rows (q + 1
+  powers of two sum to a (q + 1)-bit row only when they are distinct).
 - Cold-start steps at the same orders: the README chain (gen-plane, canon,
   extract, verify-mpls, reconstruct, verify-plane) run step by step as
   `python -m pglatin.cli` in a fresh interpreter, on the src/ the child
@@ -64,7 +68,7 @@ from time import perf_counter
 
 import pglatin
 from pglatin import matching
-from pglatin.binmat import BinaryMatrix, Permutation, from_inc_text, permute, to_inc_text
+from pglatin.binmat import BinaryMatrix, Permutation, from_inc_text, is_permutation_matrix, permute, to_inc_text
 from pglatin.canonical import canonicalize, extract_mpls, reconstruct
 from pglatin.geometry import plane_check
 from pglatin.latin import verify_mpls
@@ -153,6 +157,16 @@ def time_stages(q: int, relabelled: BinaryMatrix) -> dict[str, float]:
     return times
 
 
+def time_decompose(q: int, relabelled: BinaryMatrix) -> float:
+    start = perf_counter()
+    parts = matching.decompose_regular(relabelled, q + 1)
+    elapsed = perf_counter() - start
+    sums = [sum(row) for row in zip(*(part.masks for part in parts))]
+    if len(parts) != q + 1 or not all(map(is_permutation_matrix, parts)) or sums != list(relabelled.masks):
+        raise SystemExit(f"wrong decomposition at q = {q}")
+    return elapsed
+
+
 def time_cold_start(q: int, env: dict[str, str]) -> dict[str, float]:
     cli = ["-m", "pglatin.cli"]
     steps = {
@@ -198,6 +212,7 @@ def serve(groups: dict[str, list[BinaryMatrix]], planes: dict[int, BinaryMatrix]
             for q, relabelled in planes.items():
                 stages = time_stages(q, relabelled)
                 orders[f"PG(2, {q})"] = {"stages_s": stages, "total_s": sum(stages.values()),
+                                         "decompose_regular_s": time_decompose(q, relabelled),
                                          "cold_start_s": time_cold_start(q, env)}
             print(json.dumps({"groups": timed_groups, "orders": orders}), flush=True)
 

@@ -24,40 +24,44 @@ def bipartite_matching(
     neighbours in list order, so the result is deterministic; a left vertex
     with no neighbours is skipped. Failed searches share one visited list: a
     failed search changes nothing, and no column it visited leads on to a
-    free one. Returns the left-to-right assignment with -1 for unmatched
-    left vertices.
+    free one. A search backing up to a row scans its list again from the
+    start; every neighbour the row tried is visited, so the first unvisited
+    one is where its scan stopped. Each backup undoes a step through a
+    visited column, so rescans cost at most (columns visited) x (largest
+    degree). Returns the left-to-right assignment, -1 for unmatched rows.
     """
     match_left = [-1] * len(adjacency) if partial is None else list(partial)
     match_right = [-1] * right_size
     for r, c in enumerate(match_left):
         if c >= 0:
             match_right[c] = r
-
-    def augment(start: int, seen: list[bool]) -> bool:
-        # the stack is the alternating path: each row above start owns the column the row below it took
-        stack = [(start, iter(adjacency[start]))]
-        while stack:
-            for c in stack[-1][1]:
-                if seen[c]:
-                    continue
-                seen[c] = True
-                owner = match_right[c]
-                if owner < 0:
-                    # free column found: each row on the path takes the column it reached, top row first
-                    for r, _ in reversed(stack):
-                        match_right[c] = r
-                        match_left[r], c = c, match_left[r]
-                    return True
-                stack.append((owner, iter(adjacency[owner])))
-                break
-            else:
-                stack.pop()
-        return False
-
     seen = [False] * right_size
-    for r, c in enumerate(match_left):
-        if c < 0 and adjacency[r] and augment(r, seen):
+    for start, c in enumerate(match_left):
+        if c >= 0 or not adjacency[start]:
+            continue
+        # the alternating path, ending at row r: each row after start owns the column the row before it took
+        path, r = [start], start
+        while True:
+            for c in adjacency[r]:
+                if not seen[c]:
+                    break
+            else:
+                path.pop()
+                if not path:
+                    break
+                r = path[-1]
+                continue
+            seen[c] = True
+            r = match_right[c]
+            if r >= 0:
+                path.append(r)
+                continue
+            # free column found: each row on the path takes the column it reached, last row first
+            for r in reversed(path):
+                match_right[c] = r
+                match_left[r], c = c, match_left[r]
             seen = [False] * right_size
+            break
     return match_left
 
 

@@ -52,6 +52,7 @@ def check_pipeline_orders(side, rounds):
     orders = side["orders"]
     assert list(orders) == ["PG(2, 2)", "PG(2, 3)"] and orders["PG(2, 3)"]["n"] == 13
     for order in orders.values():
+        assert list(order) == ["n", "stages_s", "total_s", "decompose_regular_s", "cold_start_s"]
         assert list(order["stages_s"]) == [
             "build_field",
             "build_pg2",
@@ -69,7 +70,7 @@ def check_pipeline_orders(side, rounds):
             "interpreter", "gen-plane", "canon", "extract", "verify-mpls", "reconstruct", "verify-plane"
         ]
         assert all(row["median_s"] > 0 for row in cold.values())
-        timed = [*order["stages_s"].values(), order["total_s"], *cold.values()]
+        timed = [*order["stages_s"].values(), order["total_s"], order["decompose_regular_s"], *cold.values()]
         assert all(len(row["times_s"]) == rounds and "median_s" in row for row in timed)
 
 
