@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .binmat import FormatError, _pair_scan, ones
+from .binmat import BinaryMatrix, FormatError, _pair_scan, ones
 
 
 class GeometryError(ValueError):
@@ -301,11 +301,9 @@ def incident_injection(g: Geometry) -> dict[int, int]:
     if g.b < 2:
         raise ValueError(f"injection needs at least two lines, got b={g.b}")
     from .matching import bipartite_matching
-    adjacency: list[list[int]] = [[] for _ in range(g.point_count)]
-    for idx, line in enumerate(g.lines):
-        for p in line:
-            adjacency[p].append(idx)
-    assignment = bipartite_matching(adjacency, g.b)
+    # every point lies on a line, so line masks hold point labels; the transpose lists each point's lines in order
+    lines_through = BinaryMatrix.from_masks(g.point_count, g._line_masks).transpose().masks
+    assignment = bipartite_matching(list(map(ones, lines_through)), g.b)
     if any(c < 0 for c in assignment):
         raise RuntimeError("no full point-to-line assignment found; impossible for b >= 2")
     return {p: line for p, line in enumerate(assignment)}

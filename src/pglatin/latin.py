@@ -69,37 +69,24 @@ def cyclic_square(n: int) -> LatinSquare:
 
 
 def random_latin_square(order: int, rng: random.Random) -> LatinSquare:
-    """A random square built row by row with backtracking inside each row.
+    """A seeded square filled row by row, each row a perfect matching of the columns to their missing symbols.
 
-    Any valid prefix of rows extends to a full square, so backtracking
-    never has to cross a row boundary.
+    missing[c] lists the symbols column c still lacks, shuffled by rng before each row. After r rows
+    every column lacks order - r symbols and every symbol is lacked by order - r columns, so the graph
+    is (order - r)-regular and has a perfect matching (P. Hall, 1935). The squares are not uniformly
+    distributed over all Latin squares of the order.
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    col_used: list[set[int]] = [set() for _ in range(order)]
-    rows: list[tuple[int, ...]] = []
+    from .matching import bipartite_matching
+    missing = [list(range(1, order + 1)) for _ in range(order)]
+    rows = []
     for _ in range(order):
-        row = [0] * order
-        row_used: set[int] = set()
-
-        def place(c: int) -> bool:
-            if c == order:
-                return True
-            candidates = [s for s in range(1, order + 1) if s not in row_used and s not in col_used[c]]
-            rng.shuffle(candidates)
-            for s in candidates:
-                row[c] = s
-                row_used.add(s)
-                if place(c + 1):
-                    return True
-                row_used.discard(s)
-            row[c] = 0
-            return False
-
-        if not place(0):
-            raise RuntimeError("row extension failed; this cannot happen")
-        for c, s in enumerate(row):
-            col_used[c].add(s)
+        for symbols in missing:
+            rng.shuffle(symbols)
+        row = bipartite_matching(missing, order + 1)
+        for symbols, s in zip(missing, row):
+            symbols.remove(s)
         rows.append(tuple(row))
     return LatinSquare(tuple(rows))
 

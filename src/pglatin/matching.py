@@ -181,7 +181,7 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
     masks, full = f.masks, (1 << n) - 1
-    first = next(((i, ones(full ^ mask)[0]) for i, mask in enumerate(masks) if mask != full), None)
+    first = next(((i, (~mask & mask + 1).bit_length() - 1) for i, mask in enumerate(masks) if mask != full), None)
     if first is None:
         return None
     col_masks = f.transpose().masks

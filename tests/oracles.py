@@ -247,6 +247,15 @@ def augmenting_path_matching(adjacency, right_size, partial=None):
     return match_left
 
 
+def point_line_injection(point_count: int, lines):
+    """incident_injection's map: each point's lines listed by hand in index order, matched by augmenting_path_matching."""
+    adjacency = [[] for _ in range(point_count)]
+    for idx, line in enumerate(lines):
+        for p in line:
+            adjacency[p].append(idx)
+    return dict(enumerate(augmenting_path_matching(adjacency, len(lines))))
+
+
 def _alternating_cover(adjacency, n_cols, match_left):
     """Rows reached from the unmatched rows by alternating paths, and the columns none reaches."""
     owner = {c: r for r, c in enumerate(match_left) if c >= 0}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FANO_LINES, NEAR_PENCIL_LINES
-from oracles import brute_four_independent
+from oracles import brute_four_independent, point_line_injection
 from pglatin.geometry import (
     Geometry,
     GeometryError,
@@ -25,6 +25,7 @@ from pglatin.geometry import (
     subgeometry,
     validate_geometry,
 )
+from pglatin.planes import build_pg2
 
 
 class TestAxioms:
@@ -246,6 +247,36 @@ class TestIncidentInjection:
     def test_needs_two_lines(self):
         with pytest.raises(ValueError):
             incident_injection(Geometry(2, ((0, 1),)))
+
+
+def injection_inputs():
+    """PG(2, q) with seeded relabellings and subgeometries of two or more lines, and near-pencils on 3..8 points."""
+    rng = random.Random(2121)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        plane = build_pg2(q).geometry
+        yield f"PG(2, {q})", plane
+        for k in range(3):
+            label = list(range(plane.v))
+            rng.shuffle(label)
+            lines = [tuple(sorted(label[p] for p in line)) for line in plane.lines]
+            rng.shuffle(lines)
+            yield f"PG(2, {q}) relabelling {k}", Geometry(plane.v, tuple(lines))
+        subs = 0
+        while subs < 20:
+            sub = subgeometry(plane, rng.sample(range(plane.v), rng.randint(0, plane.v)))
+            if sub.b >= 2:
+                yield f"PG(2, {q}) subgeometry {subs}", sub
+                subs += 1
+    for v in range(3, 9):
+        yield f"near-pencil on {v} points", Geometry(v, (tuple(range(1, v)),) + tuple((0, p) for p in range(1, v)))
+
+
+def test_incident_injection_matches_hand_built_adjacency():
+    count = 0
+    for name, g in injection_inputs():
+        assert incident_injection(g) == point_line_injection(g.point_count, g.lines), name
+        count += 1
+    assert count == 7 * 24 + 6
 
 
 class TestJson:

@@ -113,7 +113,10 @@ class TestRandomSquares:
         b = random_latin_square(6, random.Random(42))
         assert a == b
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 5, 7, 8])
+    def test_seeded_determinism_large(self):
+        assert random_latin_square(64, random.Random(3)) == random_latin_square(64, random.Random(3))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 7, 8, 40, 64])
     def test_orders(self, order):
         sq = random_latin_square(order, random.Random(order))
         assert sq.order == order  # validity enforced by the constructor
@@ -121,6 +124,15 @@ class TestRandomSquares:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             random_latin_square(0, random.Random(1))
+
+    def test_seeds_give_different_squares(self):
+        squares = {random_latin_square(8, random.Random(seed)).entries for seed in range(5)}
+        assert len(squares) == 5
+
+    def test_smallest_orders(self):
+        assert random_latin_square(1, random.Random(0)).entries == ((1,),)
+        seen = {random_latin_square(2, random.Random(seed)).entries for seed in range(20)}
+        assert seen == {((1, 2), (2, 1)), ((2, 1), (1, 2))}
 
 
 class TestProjectivePair:
