@@ -37,8 +37,7 @@ from operator import or_
 from typing import TYPE_CHECKING
 
 from .binmat import BinaryMatrix, Permutation, ones, permute
-from .geometry import plane_check
-from .planes import geometry_from_incidence
+from .geometry import geometry_from_incidence, plane_check
 
 if TYPE_CHECKING:
     from .latin import MplsSet

@@ -161,8 +161,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_plane(args: argparse.Namespace) -> int:
-    from .geometry import plane_check
-    from .planes import geometry_from_incidence
+    from .geometry import geometry_from_incidence, plane_check
     geometry = geometry_from_incidence(_read_matrix(args.input))
     verdict = plane_check(geometry)
     _emit(

@@ -55,15 +55,6 @@ class Geometry:
             masks.append(sum(1 << rank[p] for p in line))
         self._certify(used, masks, (map(rank.__getitem__, line) for line in self.lines), stop)
 
-    @classmethod
-    def _from_masks(cls, point_count: int, masks: tuple[int, ...]) -> Geometry:
-        """The geometry whose line i holds the set bits of masks[i], each below point_count, ranked as labels."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "point_count", point_count)
-        object.__setattr__(g, "lines", tuple(tuple(ones(mask)) for mask in masks))
-        g._certify(range(point_count), masks, g.lines)
-        return g
-
     def _certify(self, used: Sequence[int], masks: Sequence[int], ranks: Iterable, stop: Exception | None = None):
         """Check line sizes, then both pair axioms, on masks of ranks (rank r is point used[r], ranks[i]
         lists line i's), raising the first failure in line order; stop is the next line's error, if any."""
@@ -112,6 +103,26 @@ def validate_geometry(point_count: int, lines: Iterable[Iterable[int]]) -> Geome
     """Normalize raw line data and check both axioms, raising GeometryError on failure."""
     normalized = tuple(tuple(sorted(set(line))) for line in lines)
     return Geometry(point_count, normalized)
+
+
+def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
+    """Read rows as lines over column-indexed points and validate the axioms, as Geometry does.
+
+    The checks run straight on the row masks, labels serving as ranks. The constructor ranks only
+    the labels in use, but with a column other than 0 unused both stop at the same first error.
+    """
+    g = object.__new__(Geometry)
+    object.__setattr__(g, "point_count", m.cols)
+    object.__setattr__(g, "lines", tuple(tuple(ones(mask)) for mask in m.masks))
+    g._certify(range(m.cols), m.masks, g.lines)
+    return g
+
+
+def incidence_from_geometry(g: Geometry) -> BinaryMatrix:
+    """Inverse of geometry_from_incidence up to index order."""
+    if g.b < 1 or g.point_count < 1:
+        raise ValueError("incidence matrix needs at least one line and one point")
+    return BinaryMatrix.from_masks(g.point_count, g._line_masks)
 
 
 def line_through(g: Geometry, p: int, q: int) -> tuple[int, ...]:

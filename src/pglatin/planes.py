@@ -1,4 +1,4 @@
-"""Projective planes PG(2, q) over small finite fields, plus incidence conversion."""
+"""Projective planes PG(2, q) over small finite fields."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .binmat import BinaryMatrix
-from .geometry import Geometry, validate_geometry
+from .geometry import Geometry, geometry_from_incidence, incidence_from_geometry  # the conversions are re-exported
 
 DEFAULT_MAX_ORDER = 32
 
@@ -196,40 +196,26 @@ def build_pg2(q: int) -> PlaneBundle:
     x sits on line a exactly when a0*x0 + a1*x1 + a2*x2 = 0. Incidence
     rows are lines, columns are points.
 
-    Each line is solved for its points. The triples rank in closed form:
-    (0,0,1) is 0, (0,1,z) is 1 + z and (1,y,z) is 1 + q + y*q + z. If
-    a2 != 0, each prefix (x0, x1) gives the one point with
-    z = -(a0*x0 + a1*x1)/a2; if a2 = 0, the line holds (0,0,1) and the
-    whole block of q points of each prefix with a0*x0 + a1*x1 = 0.
+    Each line's row mask is built directly and geometry_from_incidence
+    certifies the matrix. The triples rank in closed form: (0,0,1) is 0,
+    (0,1,z) is 1 + z and (1,y,z) is 1 + q + y*q + z. If a2 != 0, each
+    prefix (x0, x1) sets the bit of the one point with
+    z = -(a0*x0 + a1*x1)/a2; if a2 = 0, the mask holds bit 0, the point
+    (0,0,1), and the whole q-bit block of each prefix with a0*x0 + a1*x1 = 0.
     """
     field = build_field(q)
     # every coordinate is a field element, so the tables need no range checks
     add, mul, inv = field._add_table, field._mul_table, field._inv_table
     prefixes = [(0, 1)] + [(1, y) for y in range(q)]
     triples = [(0, 0, 1)] + [(x0, x1, z) for x0, x1 in prefixes for z in range(q)]
-    lines = []
+    block = (1 << q) - 1
+    masks = []
     for a0, a1, a2 in triples:
         sums = [add[mul[a0][x0]][mul[a1][x1]] for x0, x1 in prefixes]
         if a2:
             solve = mul[field.neg(inv[a2])]
-            lines.append([1 + i * q + solve[s] for i, s in enumerate(sums)])
+            masks.append(sum(1 << 1 + i * q + solve[s] for i, s in enumerate(sums)))
         else:
-            lines.append([0] + [j for i, s in enumerate(sums) if not s for j in range(1 + i * q, 1 + (i + 1) * q)])
-    geometry = validate_geometry(len(triples), lines)
-    return PlaneBundle(geometry, incidence_from_geometry(geometry), q)
-
-
-def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
-    """Read rows as lines over column-indexed points and validate the axioms, as Geometry does.
-
-    The checks run straight on the row masks, labels serving as ranks. The constructor ranks only
-    the labels in use, but with a column other than 0 unused both stop at the same first error.
-    """
-    return Geometry._from_masks(m.cols, m.masks)
-
-
-def incidence_from_geometry(g: Geometry) -> BinaryMatrix:
-    """Inverse of geometry_from_incidence up to index order."""
-    if g.b < 1 or g.point_count < 1:
-        raise ValueError("incidence matrix needs at least one line and one point")
-    return BinaryMatrix.from_masks(g.point_count, g._line_masks)
+            masks.append(1 | sum(block << 1 + i * q for i, s in enumerate(sums) if not s))
+    incidence = BinaryMatrix.from_masks(len(triples), masks)
+    return PlaneBundle(geometry_from_incidence(incidence), incidence, q)

@@ -101,10 +101,12 @@ def cli_modules(d, *argv):
     "argv, loaded",
     [
         (["verify-mpls", "--in-dir", "sq"], {"cli", "binmat", "latin"}),
-        (["canon", "--in", "p.inc", "--out", "c.inc", "--meta", "c.json"],
-         {"cli", "binmat", "canonical", "geometry", "planes"}),
+        (["canon", "--in", "p.inc", "--out", "c.inc", "--meta", "c.json"], {"cli", "binmat", "canonical", "geometry"}),
         (["matching", "--in", "p.inc"], {"cli", "binmat", "matching"}),
         (["decompose", "--in", "p.inc", "--out-dir", "parts"], {"cli", "binmat", "matching"}),
+        (["extract", "--in", "p.inc", "--out-dir", "ex"], {"cli", "binmat", "canonical", "geometry", "latin"}),
+        (["reconstruct", "--in-dir", "sq", "--out", "r.inc"], {"cli", "binmat", "canonical", "geometry", "latin"}),
+        (["verify-plane", "--in", "p.inc"], {"cli", "binmat", "geometry"}),
     ],
 )
 def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
@@ -116,7 +118,20 @@ def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
 )
 def test_plane_subcommands_skip_canonical_latin_and_matching(inputs, argv):
     loaded = cli_modules(inputs, *argv)
-    assert {"planes", "geometry"} <= loaded and not loaded & {"canonical", "latin", "matching"}
+    assert "geometry" in loaded and not loaded & {"canonical", "latin", "matching"}
+    # only gen-plane builds a plane; verify-plane reads its matrix through geometry alone
+    assert ("planes" in loaded) == (argv[0] == "gen-plane")
+
+
+def test_only_geometry_names_its_private_mask_path():
+    # every other module builds or reads a Geometry's masks through geometry_from_incidence and its inverse
+    private = {"_line_masks", "_certify", "_from_masks"}
+    for path in sorted((SRC / "pglatin").glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = {getattr(node, field, None) for field in ("attr", "id", "name")} & private
+            assert not named, f"{path.name}:{node.lineno} names {named}"
 
 
 def test_package_imports_only_the_standard_library():
