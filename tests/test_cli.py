@@ -289,6 +289,12 @@ DECOMPOSE_DIGESTS = (
     "40371cb17e6694859e0d5bcb329ffadfb712b5b8d83ec0a683ebced00447f750",
 )
 MATCHING_DIGEST = "f5323f45587803c40375362cdf0ca8c281fbe599bacc0d4228e974ec8ea2d85e"
+# sha256 of matching's JSON for seeded relabellings of PG(2, 9) and PG(2, 16), recorded
+# before each matrix kept its rows' bit lists; the zero-block search reads those lists
+PLANE_MATCHING_DIGESTS = {
+    9: "2d4a7684e84fa0d1d70e21e6b2fe356b1442d5268aeb8e50563e83659ed06fac",
+    16: "c218a2efc558f7d87c5f7f965cbce19c9b26f7df61969aaf68bb4bc1a6d8904a",
+}
 
 
 def test_decompose_of_a_relabelled_plane_is_pinned(tmp_path, capsys):
@@ -308,6 +314,14 @@ def test_matching_of_a_relabelled_plane_is_pinned(tmp_path, capsys):
     path.write_text(to_inc_text(relabelled_plane(8, random.Random(8))))
     code, out, _ = run(capsys, "matching", "--in", str(path))
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == MATCHING_DIGEST
+
+
+@pytest.mark.parametrize("q", sorted(PLANE_MATCHING_DIGESTS))
+def test_matching_of_larger_relabelled_planes_is_pinned(q, tmp_path, capsys):
+    path = tmp_path / "p.inc"
+    path.write_text(to_inc_text(relabelled_plane(q, random.Random(q))))
+    code, out, _ = run(capsys, "matching", "--in", str(path))
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PLANE_MATCHING_DIGESTS[q]
 
 
 class TestClassify:

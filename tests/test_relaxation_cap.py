@@ -7,20 +7,24 @@ The cap must never fall below the cell's weight, taken from the per-cell
 oracle, on every cell of every such relaxation of seeded matrices; the
 augmentations must spare matchings the cap without them solves; and on
 larger matrices, where most of the gain lies, the search must stay within
-a pinned matching budget.
+a pinned matching budget and give the reports a digest pins.
 """
 
+import hashlib
 import random
 
 from pglatin import matching
 from pglatin.binmat import BinaryMatrix, ones
-from pglatin.matching import max_zero_submatrix
+from pglatin.matching import duality_report, max_zero_submatrix
 from samples import random_matrix
 from test_zero_block_forced_side import INPUTS, cell_weights
 
 # bipartite_matching calls that max_zero_submatrix makes over LARGER;
 # lower it when the search gets cheaper, never raise it to let a change pass
 LARGER_MATCHING_BUDGET = 562
+# sha256 of repr() of the list of duality_report(f) over LARGER, recorded before
+# each matrix kept its rows' bit lists
+LARGER_REPORTS_DIGEST = "f9549113ed4b42275eab32b4ef6ba4ce10df35952206cfb4677a015aff5de2ba"
 
 
 def larger_inputs() -> list[BinaryMatrix]:
@@ -80,3 +84,8 @@ def test_augmentations_prune_cells_the_plain_cap_lets_through(monkeypatch):
 def test_larger_matchings_stay_within_budget(monkeypatch):
     calls = matchings_solved(monkeypatch, LARGER)
     assert calls <= LARGER_MATCHING_BUDGET, calls
+
+
+def test_larger_reports_are_pinned():
+    reports = repr([duality_report(f) for f in LARGER])
+    assert hashlib.sha256(reports.encode()).hexdigest() == LARGER_REPORTS_DIGEST
