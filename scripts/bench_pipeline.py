@@ -40,7 +40,10 @@ Each round times four suites:
 --quick takes 8 + 20 random matrices and q = 2, 3 for every suite.
 
 Every number is timed inside a child that runs this script with --serve on
-the same inputs; this process only schedules the rounds. Alone, this tree
+the same inputs; this process only schedules the rounds. A duality report,
+canonicalize and decompose_regular each get a copy of their input matrix,
+made before the clock starts, so none reads what the matrix cached (its
+rows' bit lists) in an earlier suite or round. Alone, this tree
 runs REPEATS rounds (one with --quick). With --against DIR, the package
 under DIR/src and this one take turns for PAIRS rounds (two with --quick),
 the first tree of a round alternating, so host drift reaches both alike;
@@ -70,9 +73,9 @@ import pglatin
 from pglatin import matching
 from pglatin.binmat import BinaryMatrix, Permutation, from_inc_text, is_permutation_matrix, permute, to_inc_text
 from pglatin.canonical import canonicalize, extract_mpls, reconstruct
-from pglatin.geometry import plane_check
+from pglatin.geometry import geometry_from_incidence, plane_check
 from pglatin.latin import verify_mpls
-from pglatin.planes import build_field, build_pg2, geometry_from_incidence
+from pglatin.planes import build_field, build_pg2
 
 DENSITIES = (0.1, 0.3, 0.5, 0.7)
 REPEATS = 3
@@ -108,6 +111,11 @@ def inputs(quick: bool, seed: int) -> tuple[dict[str, list[BinaryMatrix]], dict[
     return groups, planes
 
 
+def fresh(m: BinaryMatrix) -> BinaryMatrix:
+    """m without what it has cached, such as its rows' bit lists, so a timed call derives them as a new input does."""
+    return BinaryMatrix.from_masks(m.cols, m.masks)
+
+
 def matchings_per_report(group: list[BinaryMatrix]) -> float:
     calls = 0
     solve = matching.bipartite_matching
@@ -127,6 +135,7 @@ def matchings_per_report(group: list[BinaryMatrix]) -> float:
 
 
 def time_group(group: list[BinaryMatrix]) -> float:
+    group = list(map(fresh, group))
     start = perf_counter()
     for f in group:
         matching.duality_report(f)
@@ -148,7 +157,7 @@ def time_stages(q: int, relabelled: BinaryMatrix) -> dict[str, float]:
     matrix = timed("from_inc_text", from_inc_text, text)
     geometry = timed("geometry_from_incidence", geometry_from_incidence, matrix)
     verdict = timed("plane_check", plane_check, geometry)
-    form = timed("canonicalize", canonicalize, relabelled)
+    form = timed("canonicalize", canonicalize, fresh(relabelled))
     squares = timed("extract_mpls", extract_mpls, form)
     report = timed("verify_mpls", verify_mpls, squares)
     rebuilt = timed("reconstruct", reconstruct, squares)
@@ -158,6 +167,7 @@ def time_stages(q: int, relabelled: BinaryMatrix) -> dict[str, float]:
 
 
 def time_decompose(q: int, relabelled: BinaryMatrix) -> float:
+    relabelled = fresh(relabelled)
     start = perf_counter()
     parts = matching.decompose_regular(relabelled, q + 1)
     elapsed = perf_counter() - start

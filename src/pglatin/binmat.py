@@ -35,6 +35,14 @@ def _pair_scan(width: int, lines: Iterable[tuple[int, Iterable[int]]]) -> tuple:
     return joined, None
 
 
+def _decimals(tokens: Iterable[str]) -> list[int]:
+    """Digit strings as ints; one longer than the interpreter's int-digit limit is a FormatError."""
+    try:
+        return [int(token) for token in tokens]
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
 # cell bytes 0/1 <-> ASCII digits, for packing and unpacking rows at C speed
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -44,8 +52,9 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 class BinaryMatrix:
     """A rectangular matrix over {0, 1}, one int per row.
 
-    Bit j of masks[i] is cell (i, j). The constructor takes the cells
-    row-major in a flat sequence; `data` gives them back that way.
+    Bit j of masks[i] is cell (i, j); `bits[i]` lists row i's set columns,
+    lowest first. The constructor takes the cells row-major in a flat
+    sequence; `data` gives them back that way.
     Instances are immutable after construction and safe to share freely.
     """
 
@@ -120,6 +129,10 @@ class BinaryMatrix:
     def data(self) -> tuple[int, ...]:
         return tuple(b"".join(map(self._cells, self.masks)))
 
+    @cached_property
+    def bits(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, map(ones, self.masks)))
+
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -144,8 +157,8 @@ class BinaryMatrix:
 
     def transpose(self) -> BinaryMatrix:
         out = [0] * self.cols
-        for i, mask in enumerate(self.masks):
-            for j in ones(mask):
+        for i, row in enumerate(self.bits):
+            for j in row:
                 out[j] |= 1 << i
         return BinaryMatrix.from_masks(self.rows, out)
 
@@ -199,9 +212,9 @@ def permute(m: BinaryMatrix, row_perm: Permutation, col_perm: Permutation) -> Bi
         )
     col_images = col_perm.images
     out = [0] * m.rows
-    for i, mask in enumerate(m.masks):
+    for i, row in enumerate(m.bits):
         moved = 0
-        for j in ones(mask):
+        for j in row:
             moved |= 1 << col_images[j]
         out[row_perm(i)] = moved
     return BinaryMatrix.from_masks(m.cols, out)
@@ -247,7 +260,7 @@ def from_inc_text(text: str) -> BinaryMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise FormatError("header must be exactly 'rows cols'")
-    rows, cols = int(header[0]), int(header[1])
+    rows, cols = _decimals(header)
     if rows < 1 or cols < 1:
         raise FormatError("dimensions must be positive")
     if len(lines) - 1 != rows:

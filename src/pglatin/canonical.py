@@ -36,7 +36,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .binmat import BinaryMatrix, Permutation, ones, permute
+from .binmat import BinaryMatrix, Permutation, permute
 from .geometry import geometry_from_incidence, plane_check
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     # free, each in increasing index: line 0's points, the lines through p1
     # (line 0 first) and the first band; band i holds the lines through
     # point i of line 0 that miss p1
-    line0 = ones(rows[0])
+    line0 = m.bits[0]
     p1 = line0[0]
     pencil = [r for r, mask in enumerate(rows) if mask >> p1 & 1]
     bands = [[r for r, mask in enumerate(rows) if mask & (1 << ps | 1 << p1) == 1 << ps] for ps in line0[1:]]
@@ -109,7 +109,7 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
 
     # position -> original, checked to be a bijection, inverted to original -> position
     row_perm = Permutation(tuple(row_order)).inverse()
-    col_perm = Permutation(tuple(line0 + [p for block in blocks for p in block])).inverse()
+    col_perm = Permutation(line0 + tuple(p for block in blocks for p in block)).inverse()
     form = BlockForm(permute(m, row_perm, col_perm), k, row_perm, col_perm)
     if not form._report.ok:
         raise RuntimeError(f"canonicalization produced an invalid block form: {form._report.first}")

@@ -227,9 +227,10 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .geometry import PencilWithTransversal, classify_v_eq_b, geometry_from_json
+    text = args.input.read_text()
     try:
-        payload = json.loads(args.input.read_text())
-    except RecursionError as exc:  # nesting too deep for the decoder
+        payload = json.loads(text)
+    except (RecursionError, ValueError) as exc:  # nesting too deep, a number past the int-digit limit, bad JSON
         raise FormatError(str(exc)) from None
     geometry = geometry_from_json(payload)
     shape = classify_v_eq_b(geometry)

@@ -113,7 +113,7 @@ def geometry_from_incidence(m: BinaryMatrix) -> Geometry:
     """
     g = object.__new__(Geometry)
     object.__setattr__(g, "point_count", m.cols)
-    object.__setattr__(g, "lines", tuple(tuple(ones(mask)) for mask in m.masks))
+    object.__setattr__(g, "lines", m.bits)
     g._certify(range(m.cols), m.masks, g.lines)
     return g
 
@@ -313,8 +313,8 @@ def incident_injection(g: Geometry) -> dict[int, int]:
         raise ValueError(f"injection needs at least two lines, got b={g.b}")
     from .matching import bipartite_matching
     # every point lies on a line, so line masks hold point labels; the transpose lists each point's lines in order
-    lines_through = BinaryMatrix.from_masks(g.point_count, g._line_masks).transpose().masks
-    assignment = bipartite_matching(list(map(ones, lines_through)), g.b)
+    lines_through = BinaryMatrix.from_masks(g.point_count, g._line_masks).transpose()
+    assignment = bipartite_matching(lines_through.bits, g.b)
     if any(c < 0 for c in assignment):
         raise RuntimeError("no full point-to-line assignment found; impossible for b >= 2")
     return {p: line for p, line in enumerate(assignment)}

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .binmat import FormatError, _pair_scan
+from .binmat import FormatError, _decimals, _pair_scan
 
 
 @dataclass(frozen=True)
@@ -417,7 +417,7 @@ def _parse_square_blocks(text: str, allow_many: bool) -> list[LatinSquare]:
         header = body[0].split()
         if len(header) != 1:
             raise FormatError("square header must be a single order")
-        n = int(header[0])
+        (n,) = _decimals(header)
         if n < 1:
             raise FormatError("order must be positive")
         if len(body) - 1 != n:
@@ -427,7 +427,7 @@ def _parse_square_blocks(text: str, allow_many: bool) -> list[LatinSquare]:
             tokens = line.split()
             if len(tokens) != n:
                 raise FormatError(f"row {lineno}: expected {n} entries, found {len(tokens)}")
-            values = [int(tok) for tok in tokens]
+            values = _decimals(tokens)
             if any(not 1 <= x <= n for x in values):
                 raise FormatError(f"row {lineno}: entries must sit in 1..{n}")
             rows.append(tuple(values))

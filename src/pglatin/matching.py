@@ -109,7 +109,7 @@ class ZeroBlockWitness:
 
 def max_independent_ones(f: BinaryMatrix) -> MatchingWitness:
     """Largest set of ones with no two in one row or column."""
-    return _matching_witness(bipartite_matching(list(map(ones, f.masks)), f.cols))
+    return _matching_witness(bipartite_matching(f.bits, f.cols))
 
 
 def _matching_witness(match_left: Sequence[int]) -> MatchingWitness:
@@ -153,12 +153,11 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     one is two-sided it is the answer; otherwise the block is grown from the
     row-major-first of the zero cells with the heaviest block through them.
     """
-    adjacency = list(map(ones, f.masks))
-    return _zero_block(f, adjacency, bipartite_matching(adjacency, f.cols))
+    return _zero_block(f, bipartite_matching(f.bits, f.cols))
 
 
-def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[int]) -> ZeroBlockWitness | None:
-    """max_zero_submatrix from the ones of f and a maximum matching on them.
+def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | None:
+    """max_zero_submatrix from f and a maximum matching on its ones.
 
     The best selection avoiding every one weighs m + n - (maximum matching)
     and comes from the alternating-path cover. When it is one-sided, forcing
@@ -177,22 +176,21 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
     whose caps otherwise prune the cells solved.
     """
     n = f.cols
-    rows_in, cols_in = _independent_selection(adjacency, n, match_left)
+    rows_in, cols_in = _independent_selection(f.bits, n, match_left)
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
     masks, full = f.masks, (1 << n) - 1
     first = next(((i, (~mask & mask + 1).bit_length() - 1) for i, mask in enumerate(masks) if mask != full), None)
     if first is None:
         return None
-    col_masks = f.transpose().masks
-    col_adj = list(map(ones, col_masks))
+    ft = f.transpose()
 
     def cell_block(cell: tuple[int, int]) -> ZeroBlockWitness:
         """The block the cover selects once zero cell (i, j) is forced."""
         i, j = cell
-        cand_rows = ones((1 << f.rows) - 1 ^ col_masks[j] ^ 1 << i)
+        cand_rows = ones((1 << f.rows) - 1 ^ ft.masks[j] ^ 1 << i)
         cand_cols = ones(full ^ masks[i] ^ 1 << j)
-        sub_adj, sub_match = _submatching(adjacency, match_left, cand_rows, cand_cols)
+        sub_adj, sub_match = _submatching(f.bits, match_left, cand_rows, cand_cols)
         sub_rows, sub_cols = _independent_selection(sub_adj, len(cand_cols), sub_match)
         rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
         cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
@@ -203,12 +201,13 @@ def _zero_block(f: BinaryMatrix, adjacency: list[list[int]], match_left: list[in
 
     # the groups are the rows of g: f when the global selection kept only columns, else f transposed
     if cols_in:
-        g_masks, g_col_masks, g_adj, g_col_adj, g_match = masks, col_masks, adjacency, col_adj, match_left
+        g, gt, g_match = f, ft, match_left
     else:
-        g_masks, g_col_masks, g_adj, g_col_adj, g_match = col_masks, masks, col_adj, adjacency, [-1] * n
+        g, gt, g_match = ft, f, [-1] * n
         for r, c in enumerate(match_left):
             if c >= 0:
                 g_match[c] = r
+    g_masks, g_col_masks, g_adj, g_col_adj = g.masks, gt.masks, g.bits, gt.bits
 
     # a cell is named by its row-major index, so the earlier of two equally heavy cells has the lower key
     steps = (n, 1) if cols_in else (1, n)
@@ -287,7 +286,7 @@ class _Relaxation:
     cell's weight.
     """
 
-    def __init__(self, adjacency: list[list[int]], match_left: list[int], col_masks: Sequence[int], i: int,
+    def __init__(self, adjacency: Sequence[Sequence[int]], match_left: list[int], col_masks: Sequence[int], i: int,
                  mask: int) -> None:
         left = [r for r in range(len(adjacency)) if r != i]
         right = ones((1 << len(col_masks)) - 1 ^ mask)
@@ -365,9 +364,8 @@ def duality_report(f: BinaryMatrix) -> DualityReport:
     violation would mean an implementation bug and raises RuntimeError.
     """
     m, n = f.rows, f.cols
-    adjacency = list(map(ones, f.masks))
-    match_left = bipartite_matching(adjacency, n)
-    v_wit, w_wit = _matching_witness(match_left), _zero_block(f, adjacency, match_left)
+    match_left = bipartite_matching(f.bits, n)
+    v_wit, w_wit = _matching_witness(match_left), _zero_block(f, match_left)
     v = v_wit.size
     w = 0 if w_wit is None else w_wit.weight
     minmax_rule = Biconditional(v == min(m, n), w <= max(m, n))
@@ -405,7 +403,7 @@ def decompose_regular(f: BinaryMatrix, k: int) -> list[BinaryMatrix]:
     if any(s != k for s in f.row_sums()) or any(s != k for s in f.col_sums()):
         raise ValueError(f"matrix is not {k}-regular")
     n = f.rows
-    adjacency = list(map(ones, f.masks))
+    adjacency = list(map(list, f.bits))
     parts: list[BinaryMatrix] = []
     for _ in range(k):
         match_left = bipartite_matching(adjacency, n)

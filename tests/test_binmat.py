@@ -16,8 +16,9 @@ from pglatin.binmat import (
     to_inc_text,
 )
 from pglatin.matching import decompose_regular
+from pglatin.geometry import geometry_from_incidence
 from pglatin.planes import build_pg2
-from samples import random_matrix
+from samples import random_matrix, relabelled_plane
 
 
 def small_matrices(max_rows=5, max_cols=5):
@@ -276,6 +277,22 @@ class TestRowMasks:
         assert m.data is first
         assert list(first) == [m[i, j] for i in range(m.rows) for j in range(m.cols)]
         assert fresh == m and hash(fresh) == hash(m)
+
+    def test_bits_lists_each_rows_ones_and_stays_out_of_equality(self):
+        rng = random.Random(2025)
+        inputs = [random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30), rng.random()) for _ in range(40)]
+        for m in inputs + [relabelled_plane(q, random.Random(q)) for q in (2, 3, 4, 5, 7)]:
+            fresh = BinaryMatrix.from_masks(m.cols, m.masks)
+            seen = (repr(m), hash(m))
+            bits = m.bits
+            assert m.bits is bits and type(bits) is tuple and all(type(row) is tuple for row in bits)
+            assert bits == tuple(tuple(ones(mask)) for mask in m.masks)
+            assert (repr(m), hash(m)) == seen and m == fresh and fresh == m
+
+    def test_a_planes_geometry_shares_its_matrix_bits(self):
+        for q in (2, 3, 4, 5):
+            m = relabelled_plane(q, random.Random(q))
+            assert geometry_from_incidence(m).lines is m.bits
 
     @given(small_matrices())
     def test_from_masks_rebuilds_equal_matrix(self, m):

@@ -1,5 +1,7 @@
 """CLI exit codes for inputs the README classes as format or verification failures."""
 
+import sys
+
 import pytest
 
 from samples import NON_PLANE_SQUARES
@@ -52,6 +54,34 @@ def test_undecodable_input_is_a_format_error(name, argv, tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "format error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+# longer than Python's int-digit limit (4,300 digits by default); binary row digits are exempt from it
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        pytest.param("x.inc", f"{BIG} 1\n1\n", ["verify-plane", "--in", "x.inc"], id="inc-header"),
+        pytest.param("sq/L1.ls", f"{BIG}\n1\n", ["verify-mpls", "--in-dir", "sq"], id="ls-header"),
+        pytest.param("sq/L1.ls", f"2\n1 {BIG}\n2 1\n", ["verify-mpls", "--in-dir", "sq"], id="ls-entry"),
+        pytest.param(
+            "g.json", f'{{"points": {BIG}, "lines": []}}', ["classify", "--in", "g.json"], id="json",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="without the limit the number is a value failure"
+            ),
+        ),
+    ],
+)
+def test_number_past_the_digit_limit_is_a_format_error(name, text, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sq").mkdir()
+    (tmp_path / name).write_text(text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("format error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_over_deep_json_is_a_format_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_max_independent_ones, brute_max_zero_weight
-from pglatin.binmat import BinaryMatrix, is_permutation_matrix
+from pglatin.binmat import BinaryMatrix, is_permutation_matrix, ones
 from pglatin.matching import (
     Biconditional,
     MatchingWitness,
@@ -17,6 +17,7 @@ from pglatin.matching import (
     max_independent_ones,
     max_zero_submatrix,
 )
+from samples import relabelled_plane
 
 
 class TestBipartiteMatching:
@@ -217,6 +218,15 @@ class TestDecomposeRegular:
             for i, x in enumerate(p.data):
                 acc[i] += x
         assert tuple(acc) == f.data
+
+    def test_leaves_the_matrix_bits_alone(self):
+        # decompose_regular shrinks its own copy of the row lists; f and later reports on it keep every one
+        for q in (2, 3, 4, 5):
+            f = relabelled_plane(q, random.Random(q))
+            expected = [ones(mask) for mask in f.masks]
+            decompose_regular(f, q + 1)
+            assert list(map(list, f.bits)) == expected
+            assert duality_report(f) == duality_report(BinaryMatrix.from_masks(f.cols, f.masks))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

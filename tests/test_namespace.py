@@ -134,6 +134,17 @@ def test_only_geometry_names_its_private_mask_path():
             assert not named, f"{path.name}:{node.lineno} names {named}"
 
 
+def test_only_binmat_maps_ones_over_rows():
+    # a matrix's row bit lists are derived once, by BinaryMatrix.bits; every other module reads them there
+    for path in sorted((SRC / "pglatin").glob("*.py")):
+        if path.name == "binmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+                mapped = [getattr(arg, "id", None) for arg in node.args]
+                assert "ones" not in mapped, f"{path.name}:{node.lineno} maps ones over rows"
+
+
 def test_package_imports_only_the_standard_library():
     # the scripts also import the package itself
     allowed = {*sys.stdlib_module_names, "pglatin"}
