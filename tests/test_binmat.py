@@ -15,8 +15,8 @@ from pglatin.binmat import (
     permute,
     to_inc_text,
 )
-from pglatin.matching import decompose_regular
 from pglatin.geometry import geometry_from_incidence
+from pglatin.matching import decompose_regular
 from pglatin.planes import build_pg2
 from samples import random_matrix, relabelled_plane
 
