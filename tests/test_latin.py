@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -438,6 +439,42 @@ class TestTextFormats:
     def test_non_latin_content_fails_validation(self):
         with pytest.raises(ValueError):
             from_ls_text("2\n1 2\n1 2\n")
+
+
+def _int_error(digits):
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+
+
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("", "empty square block", id="empty"),
+        pytest.param("\n", "square header must be a single order", id="lone-newline"),
+        pytest.param("2 2\n1 2\n2 1\n", "square header must be a single order", id="two-token-header"),
+        pytest.param("0\n", "order must be positive", id="order-0"),
+        pytest.param("2\n1 2\n2 a\n", "illegal character 'a' in square text", id="letter"),
+        pytest.param("2\n1\t2\n2 1\n", "illegal character '\\t' in square text", id="tab"),
+        pytest.param("2\n1 2\n", "expected 2 rows, found 1", id="too-few-rows"),
+        pytest.param("2\n\n1 2\n2 1\n", "expected 2 rows, found 3", id="too-many-rows"),
+        pytest.param("2\n1 2 1\n2 1\n", "row 2: expected 2 entries, found 3", id="three-entries"),
+        pytest.param("2\n1 3\n3 1\n", "row 2: entries must sit in 1..2", id="out-of-range"),
+        pytest.param("2\n1 2\n\n", "row 3: expected 2 entries, found 0", id="blank-row"),
+        pytest.param(
+            f"{BIG}\n1\n", _int_error(BIG), id="digit-limit-header",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit"),
+        ),
+    ],
+)
+def test_ls_format_error_texts(text, message):
+    with pytest.raises(FormatError) as exc:
+        from_ls_text(text)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=40, deadline=None)
