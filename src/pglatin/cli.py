@@ -78,8 +78,8 @@ def _read_matrix(path: Path) -> BinaryMatrix:
 
 
 def _numbered_files(path: Path, letter: str, suffix: str) -> list[tuple[int, Path]]:
-    """(i, file) for each file in path named <letter><i><suffix> with i in digits, in name order."""
-    pattern = re.compile(rf"{letter}(\d+){re.escape(suffix)}")
+    """(i, file) for each file in path named <letter><i><suffix> with i in ASCII digits, in name order."""
+    pattern = re.compile(rf"{letter}([0-9]+){re.escape(suffix)}")
     matches = ((pattern.fullmatch(entry.name), entry) for entry in sorted(path.iterdir()))
     return [(int(match.group(1)), entry) for match, entry in matches if match]
 

@@ -152,3 +152,31 @@ def test_out_dir_with_stale_numbered_files_is_refused(command, name, count, tmp_
     assert run(3) == 2
     assert capsys.readouterr().err == f"error: {out} already holds {padded.name}, which this run would not overwrite\n"
     assert _snapshot(out) == {**written, padded.name: written[name.format(1)]}
+
+
+# file numbers are ASCII digits: L１.ls (fullwidth 1), L١.ls (Arabic-Indic 1) and L５.ls are no numbered files
+def test_non_ascii_digits_do_not_number_a_square_file(tmp_path, capsys):
+    only = tmp_path / "only"
+    only.mkdir()
+    (only / "L１.ls").write_text("2\n1 2\n2 1\n")
+    assert main(["verify-mpls", "--in-dir", str(only)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"format error: no L<i>.ls files in {only}\n")
+
+    beside = tmp_path / "beside"
+    beside.mkdir()
+    (beside / "L1.ls").write_text("2\n1 2\n2 1\n")
+    (beside / "L١.ls").write_text("2\n1 2\n2 1\n")
+    assert main(["verify-mpls", "--in-dir", str(beside)]) == 0
+    assert '"is_complete": true' in capsys.readouterr().out
+
+
+def test_extract_writes_beside_a_non_ascii_numbered_file(tmp_path, capsys):
+    assert main(["gen-plane", "--order", "3", "--out", str(tmp_path / "p.inc")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "L５.ls").write_bytes(b"kept")
+    assert main(["extract", "--in", str(tmp_path / "p.inc"), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(path.name for path in out.iterdir()) == ["L1.ls", "L2.ls", "L５.ls"]
+    assert (out / "L５.ls").read_bytes() == b"kept"
