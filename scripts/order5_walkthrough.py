@@ -18,7 +18,7 @@ from pglatin import (
     resolvability_report,
     verify_mpls,
 )
-from pglatin.planes import geometry_from_incidence
+from pglatin.geometry import geometry_from_incidence
 
 
 def show_matrix(m, label):

@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "binmat": "BinaryMatrix FormatError Permutation from_inc_text is_permutation_matrix permute to_inc_text",
     "canonical": "BlockForm BlockFormReport canonicalize extract_mpls reconstruct verify_block_form",
-    "geometry": "Geometry GeometryError GeometryReport PencilWithTransversal PlaneVerdict ProjectivePlane"
-    " classify_v_eq_b find_four_independent geometry_from_incidence geometry_from_json geometry_to_json"
-    " incidence_from_geometry incident_injection independent_points line_through plane_check"
-    " structure_report subgeometry validate_geometry",
+    "geometry": "Geometry GeometryError PencilWithTransversal PlaneVerdict ProjectivePlane classify_v_eq_b"
+    " find_four_independent geometry_from_incidence geometry_from_json geometry_to_json incidence_from_geometry"
+    " incident_injection line_through plane_check subgeometry validate_geometry",
     "latin": "LatinSquare MplsReport MplsSet ResolvabilityReport Transversal cyclic_square from_ls_text"
-    " group_product_cover mpls_from_text mpls_to_text pair_coverage projective_pair random_latin_square"
-    " resolvability_report submatrix_symbol_count to_ls_text transversals_from_companion verify_mpls",
+    " group_product_cover pair_coverage projective_pair random_latin_square resolvability_report"
+    " submatrix_symbol_count to_ls_text transversals_from_companion verify_mpls",
     "matching": "Biconditional DualityReport MatchingWitness ZeroBlockWitness bipartite_matching"
     " decompose_regular duality_report max_independent_ones max_zero_submatrix",
     "planes": "FiniteField PlaneBundle build_field build_pg2 prime_power smallest_irreducible",

@@ -1,4 +1,4 @@
-"""Point-line geometries: axioms, structure reports, plane tests, classification.
+"""Point-line geometries: axioms, plane tests, classification.
 
 A geometry here is a finite set of points together with lines (point sets)
 such that every pair of distinct points lies on exactly one common line and
@@ -155,54 +155,6 @@ def subgeometry(g: Geometry, points: Iterable[int]) -> Geometry:
     return validate_geometry(len(chosen), lines)
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    """Point/line counts plus regularity (r) and uniformity (k) data.
-
-    r is present exactly when all point degrees agree, k exactly when all
-    line sizes agree. A geometry without points counts as regular with
-    r = 0, one without lines as uniform with k = 0.
-    """
-
-    v: int
-    b: int
-    is_regular: bool
-    r: int | None
-    is_uniform: bool
-    k: int | None
-
-
-def _point_degrees(g: Geometry) -> list[int]:
-    degrees = [0] * g.point_count
-    for line in g.lines:
-        for p in line:
-            degrees[p] += 1
-    return degrees
-
-
-def structure_report(g: Geometry) -> GeometryReport:
-    degrees = _point_degrees(g)
-    if g.point_count == 0:
-        is_regular, r = True, 0
-    else:
-        values = set(degrees)
-        is_regular = len(values) == 1
-        r = values.pop() if is_regular else None
-    if g.b == 0:
-        is_uniform, k = True, 0
-    else:
-        sizes = {len(line) for line in g.lines}
-        is_uniform = len(sizes) == 1
-        k = sizes.pop() if is_uniform else None
-    return GeometryReport(g.v, g.b, is_regular, r, is_uniform, k)
-
-
-def independent_points(g: Geometry, points: Iterable[int]) -> bool:
-    """True when no line of g contains three of the given points."""
-    chosen = set(points)
-    return all(sum(p in chosen for p in line) <= 2 for line in g.lines)
-
-
 def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
     """Four points with no three on a common line, or None.
 
@@ -248,7 +200,10 @@ class PlaneVerdict:
 
 def plane_check(g: Geometry) -> PlaneVerdict:
     # four independent points imply v >= 4 and b >= 2, so neither set below is empty
-    degrees = _point_degrees(g)
+    degrees = [0] * g.point_count
+    for line in g.lines:
+        for p in line:
+            degrees[p] += 1
     sizes = {mask.bit_count() for mask in g._line_masks}
     quad = find_four_independent(g)
     first = quad is not None and len(sizes) == 1 and set(degrees) == sizes

@@ -366,10 +366,10 @@ def group_product_cover(cayley: LatinSquare, a_rows: Iterable[int], b_cols: Iter
     return len(covered) == n
 
 
-# text form: header line "n", then n rows of space-separated symbols; sets
-# are either one file per square or a single file with '#' separator lines
+# text form: header line "n", then n rows of space-separated symbols; a set
+# is one file per square
 
-_LS_CHARS = frozenset("0123456789 \n#")
+_LS_CHARS = frozenset("0123456789 \n")
 
 
 def to_ls_text(square: LatinSquare) -> str:
@@ -380,56 +380,29 @@ def to_ls_text(square: LatinSquare) -> str:
 
 
 def from_ls_text(text: str) -> LatinSquare:
-    squares = _parse_square_blocks(text, allow_many=False)
-    return squares[0]
-
-
-def mpls_to_text(s: MplsSet) -> str:
-    return "#\n".join(to_ls_text(sq) for sq in s.squares)
-
-
-def mpls_from_text(text: str) -> MplsSet:
-    squares = _parse_square_blocks(text, allow_many=True)
-    return MplsSet(squares[0].order, tuple(squares))
-
-
-def _parse_square_blocks(text: str, allow_many: bool) -> list[LatinSquare]:
     bad = set(text) - _LS_CHARS
     if bad:
         raise FormatError(f"illegal character {sorted(bad)[0]!r} in square text")
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    blocks: list[list[str]] = [[]]
-    for line in lines:
-        if line.strip() == "#":
-            blocks.append([])
-        elif "#" in line:
-            raise FormatError("'#' may only appear alone on a separator line")
-        else:
-            blocks[-1].append(line)
-    if not allow_many and len(blocks) > 1:
-        raise FormatError("expected a single square, found a separator")
-    squares = []
-    for body in blocks:
-        if not body:
-            raise FormatError("empty square block")
-        header = body[0].split()
-        if len(header) != 1:
-            raise FormatError("square header must be a single order")
-        (n,) = _decimals(header)
-        if n < 1:
-            raise FormatError("order must be positive")
-        if len(body) - 1 != n:
-            raise FormatError(f"expected {n} rows, found {len(body) - 1}")
-        rows = []
-        for lineno, line in enumerate(body[1:], start=2):
-            tokens = line.split()
-            if len(tokens) != n:
-                raise FormatError(f"row {lineno}: expected {n} entries, found {len(tokens)}")
-            values = _decimals(tokens)
-            if any(not 1 <= x <= n for x in values):
-                raise FormatError(f"row {lineno}: entries must sit in 1..{n}")
-            rows.append(tuple(values))
-        squares.append(LatinSquare(tuple(rows)))
-    return squares
+    if not lines:
+        raise FormatError("empty square block")
+    header = lines[0].split()
+    if len(header) != 1:
+        raise FormatError("square header must be a single order")
+    (n,) = _decimals(header)
+    if n < 1:
+        raise FormatError("order must be positive")
+    if len(lines) - 1 != n:
+        raise FormatError(f"expected {n} rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        if len(tokens) != n:
+            raise FormatError(f"row {lineno}: expected {n} entries, found {len(tokens)}")
+        values = _decimals(tokens)
+        if any(not 1 <= x <= n for x in values):
+            raise FormatError(f"row {lineno}: entries must sit in 1..{n}")
+        rows.append(tuple(values))
+    return LatinSquare(tuple(rows))

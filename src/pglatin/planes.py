@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .binmat import BinaryMatrix
-from .geometry import Geometry, geometry_from_incidence, incidence_from_geometry  # the conversions are re-exported
+from .geometry import Geometry, geometry_from_incidence
 
 DEFAULT_MAX_ORDER = 32
 

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pglatin import BinaryMatrix, Geometry, LatinSquare, MplsSet, build_pg2, canonicalize
-from pglatin.planes import incidence_from_geometry
+from pglatin.geometry import incidence_from_geometry
 
 # Fano plane on points 0..6, lines listed in canonical block order
 FANO_LINES = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))

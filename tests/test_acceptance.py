@@ -14,6 +14,7 @@ from pglatin.binmat import BinaryMatrix, is_permutation_matrix
 from pglatin.canonical import canonicalize, extract_mpls, reconstruct
 from pglatin.geometry import (
     classify_v_eq_b,
+    geometry_from_incidence,
     incident_injection,
     plane_check,
     subgeometry,
@@ -30,7 +31,7 @@ from pglatin.latin import (
     verify_mpls,
 )
 from pglatin.matching import decompose_regular, duality_report
-from pglatin.planes import build_pg2, geometry_from_incidence
+from pglatin.planes import build_pg2
 from test_latin import S3_TABLE
 
 PLANE_ORDERS = (2, 3, 4, 5, 7, 8, 9)

@@ -20,9 +20,8 @@ from pglatin.canonical import (
     reconstruct,
     verify_block_form,
 )
-from pglatin.geometry import GeometryError
+from pglatin.geometry import GeometryError, geometry_from_incidence, incidence_from_geometry
 from pglatin.latin import LatinSquare, MplsSet, projective_pair, verify_mpls
-from pglatin.planes import geometry_from_incidence, incidence_from_geometry
 
 
 class TestCanonicalizeGate:

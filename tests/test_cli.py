@@ -7,9 +7,8 @@ import pytest
 
 from pglatin.binmat import BinaryMatrix, Permutation, from_inc_text, permute, to_inc_text
 from pglatin.cli import main
-from pglatin.geometry import geometry_to_json
+from pglatin.geometry import geometry_to_json, incidence_from_geometry
 from pglatin.latin import from_ls_text, to_ls_text
-from pglatin.planes import incidence_from_geometry
 from samples import relabelled_plane
 
 

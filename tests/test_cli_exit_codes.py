@@ -8,9 +8,8 @@ from samples import NON_PLANE_SQUARES
 from pglatin.binmat import to_inc_text
 from pglatin.canonical import _layout
 from pglatin.cli import main
-from pglatin.geometry import Geometry
+from pglatin.geometry import Geometry, incidence_from_geometry
 from pglatin.latin import LatinSquare, to_ls_text
-from pglatin.planes import incidence_from_geometry
 
 
 @pytest.fixture
@@ -152,6 +151,14 @@ def test_out_dir_with_stale_numbered_files_is_refused(command, name, count, tmp_
     assert run(3) == 2
     assert capsys.readouterr().err == f"error: {out} already holds {padded.name}, which this run would not overwrite\n"
     assert _snapshot(out) == {**written, padded.name: written[name.format(1)]}
+
+
+def test_separator_line_in_a_square_file_is_a_format_error(tmp_path, capsys):
+    (tmp_path / "L1.ls").write_text("2\n1 2\n2 1\n#\n2\n1 2\n2 1\n")
+    code = main(["verify-mpls", "--in-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "format error: illegal character '#' in square text\n"
 
 
 # file numbers are ASCII digits: L１.ls (fullwidth 1), L١.ls (Arabic-Indic 1) and L５.ls are no numbered files

@@ -17,11 +17,10 @@ from pglatin.geometry import (
     find_four_independent,
     geometry_from_json,
     geometry_to_json,
+    incidence_from_geometry,
     incident_injection,
-    independent_points,
     line_through,
     plane_check,
-    structure_report,
     subgeometry,
     validate_geometry,
 )
@@ -115,36 +114,16 @@ class TestSubgeometry:
             subgeometry(fano, {0, 9})
 
 
-class TestStructureReport:
-    def test_fano(self, fano):
-        rep = structure_report(fano)
-        assert (rep.v, rep.b) == (7, 7)
-        assert rep.is_regular and rep.r == 3
-        assert rep.is_uniform and rep.k == 3
-
-    def test_near_pencil(self, near_pencil):
-        rep = structure_report(near_pencil)
-        assert not rep.is_regular and rep.r is None
-        assert not rep.is_uniform and rep.k is None
-
-    def test_degenerate_values(self):
-        empty = structure_report(Geometry(0, ()))
-        assert empty.is_regular and empty.r == 0
-        assert empty.is_uniform and empty.k == 0
-        lineless = structure_report(Geometry(1, ()))
-        assert lineless.is_uniform and lineless.k == 0
-        assert not lineless.is_regular or lineless.r == 0
+def independent(g, points):
+    """True when no line of g contains three of the given points."""
+    return all(len(set(line) & set(points)) <= 2 for line in g.lines)
 
 
 class TestIndependence:
-    def test_fano_quadrilateral(self, fano):
-        assert independent_points(fano, (1, 2, 3, 4))
-        assert not independent_points(fano, (0, 1, 2, 3))
-
     def test_find_four_independent_on_fano(self, fano):
         quad = find_four_independent(fano)
         assert quad == (1, 2, 3, 4)
-        assert independent_points(fano, quad)
+        assert independent(fano, quad)
 
     def test_find_four_independent_none(self, near_pencil):
         assert find_four_independent(near_pencil) is None
@@ -154,7 +133,7 @@ class TestIndependence:
     def test_construction_agrees_with_brute_force(self, plane_cache):
         g = plane_cache(3).geometry
         quad = find_four_independent(g)
-        assert quad is not None and independent_points(g, quad)
+        assert quad is not None and independent(g, quad)
 
     @staticmethod
     def _agrees_with_oracle(g):
@@ -162,7 +141,7 @@ class TestIndependence:
         if brute_four_independent(g.point_count, g.lines) is None:
             assert quad is None
         else:
-            assert quad is not None and independent_points(g, quad)
+            assert quad is not None and independent(g, quad)
 
     def test_oracle_agreement_on_every_fano_subgeometry(self, fano):
         for size in range(8):
@@ -202,8 +181,8 @@ class TestPlaneCheck:
         # and parallel lines do not meet
         g = plane_cache(3).geometry
         affine = subgeometry(g, set(range(g.v)) - set(g.lines[0]))
-        rep = structure_report(affine)
-        assert (rep.is_regular, rep.r, rep.is_uniform, rep.k) == (True, 4, True, 3)
+        m = incidence_from_geometry(affine)
+        assert (set(m.col_sums()), set(m.row_sums())) == ({4}, {3})
         assert find_four_independent(affine) is not None
         assert plane_check(affine) == PlaneVerdict(False, False, None)
 

@@ -17,9 +17,16 @@ from operator import or_
 from oracles import token_inc_masks
 from pglatin import latin
 from pglatin.binmat import BinaryMatrix, FormatError, from_inc_text, ones
-from pglatin.geometry import Geometry, GeometryError, subgeometry, validate_geometry
+from pglatin.geometry import (
+    Geometry,
+    GeometryError,
+    geometry_from_incidence,
+    incidence_from_geometry,
+    subgeometry,
+    validate_geometry,
+)
 from pglatin.latin import verify_mpls
-from pglatin.planes import build_pg2, geometry_from_incidence, incidence_from_geometry
+from pglatin.planes import build_pg2
 from samples import random_matrix, relabelled
 from test_cli_fuzz import base_payloads, mutate
 from test_geometry_axioms import near_pencil
