@@ -288,11 +288,13 @@ DECOMPOSE_DIGESTS = (
     "40371cb17e6694859e0d5bcb329ffadfb712b5b8d83ec0a683ebced00447f750",
 )
 MATCHING_DIGEST = "f5323f45587803c40375362cdf0ca8c281fbe599bacc0d4228e974ec8ea2d85e"
-# sha256 of matching's JSON for seeded relabellings of PG(2, 9) and PG(2, 16), recorded
-# before each matrix kept its rows' bit lists; the zero-block search reads those lists
+# sha256 of matching's JSON for seeded relabellings of PG(2, q); q = 9 and 16 recorded before
+# each matrix kept its rows' bit lists, which the zero-block search reads, and q = 25 before
+# the search returned a plane's first zero cell on a plane certificate
 PLANE_MATCHING_DIGESTS = {
     9: "2d4a7684e84fa0d1d70e21e6b2fe356b1442d5268aeb8e50563e83659ed06fac",
     16: "c218a2efc558f7d87c5f7f965cbce19c9b26f7df61969aaf68bb4bc1a6d8904a",
+    25: "a173ff00866beb664c03b1c1bf7748b8ac14610d05ddfb9478eab8cb824e1708",
 }
 
 
