@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from struct import unpack
 from typing import Iterable, Sequence
 
@@ -43,12 +41,70 @@ def _decimals(tokens: Iterable[str]) -> list[int]:
         raise FormatError(str(exc)) from None
 
 
+def _record(cls: type) -> type:
+    """cls as dataclass(frozen=True) makes it, from plain closures: no generated code, no dataclasses import.
+
+    The fields are cls's own annotations, in order. __init__ takes them by position or keyword and
+    calls __post_init__ when cls has one; __repr__ is Name(field=value, ...); __eq__ needs the same
+    class and equal fields; __hash__ hashes the field tuple. A method cls defines itself is kept, as
+    dataclass keeps it. Assigning or deleting any attribute raises AttributeError.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    post_init = hasattr(cls, "__post_init__")
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)}), each once")
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join([f'{name}={getattr(self, name)!r}' for name in names])})"
+
+    def __eq__(self, other: object) -> bool:
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+class _once:
+    """cached_property without its lock: the first read computes the value and stores it in the instance's
+    __dict__, where later reads find it first."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 # cell bytes 0/1 <-> ASCII digits, for packing and unpacking rows at C speed
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@_record
 class BinaryMatrix:
     """A rectangular matrix over {0, 1}, one int per row.
 
@@ -125,11 +181,11 @@ class BinaryMatrix:
     def _cells(self, mask: int) -> bytes:
         return format(mask, f"0{self.cols}b")[::-1].encode().translate(_FROM_DIGITS)
 
-    @cached_property
+    @_once
     def data(self) -> tuple[int, ...]:
         return tuple(b"".join(map(self._cells, self.masks)))
 
-    @cached_property
+    @_once
     def bits(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, map(ones, self.masks)))
 
@@ -169,7 +225,7 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
+@_record
 class Permutation:
     """A bijection on 0..n-1; index i is sent to position images[i]."""
 

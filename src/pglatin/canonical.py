@@ -31,19 +31,18 @@ direction rebuilds the matrix from a complete set of squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .binmat import BinaryMatrix, Permutation, permute
+from .binmat import BinaryMatrix, Permutation, _record, permute
 from .geometry import geometry_from_incidence, plane_check
 
 if TYPE_CHECKING:
     from .latin import MplsSet
 
 
-@dataclass(frozen=True)
+@_record
 class BlockForm:
     """A canonical matrix plus the permutations that made it."""
 
@@ -116,7 +115,7 @@ def canonicalize(m: BinaryMatrix) -> BlockForm:
     return form
 
 
-@dataclass(frozen=True)
+@_record
 class BlockFormReport:
     violations: tuple[str, ...]
 

@@ -7,11 +7,10 @@ every line carries at least two points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .binmat import BinaryMatrix, FormatError, _pair_scan, ones
+from .binmat import BinaryMatrix, FormatError, _pair_scan, _record, ones
 
 
 class GeometryError(ValueError):
@@ -23,7 +22,7 @@ class GeometryError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class Geometry:
     """Points 0..v-1 and lines given as sorted point tuples.
 
@@ -180,7 +179,7 @@ def find_four_independent(g: Geometry) -> tuple[int, int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
+@_record
 class PlaneVerdict:
     """Outcomes of the two equivalent projective-plane tests.
 
@@ -219,7 +218,7 @@ def plane_check(g: Geometry) -> PlaneVerdict:
     return PlaneVerdict(first, second, order)
 
 
-@dataclass(frozen=True)
+@_record
 class PencilWithTransversal:
     """All points but one sit on the transversal line; the top point joins
     each of them by a two-point line."""
@@ -228,7 +227,7 @@ class PencilWithTransversal:
     transversal: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ProjectivePlane:
     order: int
 

@@ -9,15 +9,14 @@ most n - 1 members; a set that reaches that bound is called complete.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .binmat import FormatError, _decimals, _pair_scan
+from .binmat import FormatError, _decimals, _pair_scan, _record
 
 
-@dataclass(frozen=True)
+@_record
 class LatinSquare:
     """An n x n grid where every row and column uses each of 1..n once."""
 
@@ -112,7 +111,7 @@ def projective_pair(a: LatinSquare, b: LatinSquare) -> bool:
     return not any(_disagreements(a, b)) and a.has_unit_diagonal and b.has_unit_diagonal
 
 
-@dataclass(frozen=True)
+@_record
 class MplsSet:
     """A bundle of unit-diagonal squares of one order, at most order - 1 of them.
 
@@ -138,7 +137,7 @@ class MplsSet:
                 raise ValueError(f"square {idx} does not have an all-ones diagonal")
 
 
-@dataclass(frozen=True)
+@_record
 class MplsReport:
     is_mpls: bool
     is_complete: bool
@@ -192,7 +191,7 @@ def pair_coverage(s: MplsSet, i: int, j: int) -> bool:
     return seen == wanted
 
 
-@dataclass(frozen=True)
+@_record
 class Transversal:
     """One cell per row, one per column, every value 1..n exactly once."""
 
@@ -233,7 +232,7 @@ def transversals_from_companion(host: LatinSquare, companion: LatinSquare) -> li
     return [Transversal(n, tuple(cells)) for cells in placements]
 
 
-@dataclass(frozen=True)
+@_record
 class ResolvabilityReport:
     """Partitions of the target square into transversals, one per companion."""
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, _record
 from .geometry import Geometry, geometry_from_incidence
 
 DEFAULT_MAX_ORDER = 32
@@ -80,7 +79,7 @@ def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {degree} over Z_{p}; this cannot happen")
 
 
-@dataclass(frozen=True)
+@_record
 class FiniteField:
     """Arithmetic in GF(p^k) on integer-encoded elements.
 
@@ -181,7 +180,7 @@ def build_field(q: int) -> FiniteField:
     return FiniteField(p, k, smallest_irreducible(p, k))
 
 
-@dataclass(frozen=True)
+@_record
 class PlaneBundle:
     geometry: Geometry
     incidence: BinaryMatrix

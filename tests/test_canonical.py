@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -281,7 +280,7 @@ class TestExtract:
         assert calls == [form]
         # a direct call still checks from scratch, and an edited copy is checked again
         assert canonical_module.verify_block_form(form).ok and len(calls) == 2
-        broken = dataclasses.replace(form, matrix=_flipped(form.matrix, 0))
+        broken = BlockForm(_flipped(form.matrix, 0), form.order, form.row_perm, form.col_perm)
         with pytest.raises(ValueError, match="corner block"):
             extract_mpls(broken)
         assert calls[-1] is broken

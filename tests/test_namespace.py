@@ -24,12 +24,15 @@ from pglatin.planes import build_pg2
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUBMODULES = ("binmat", "canonical", "geometry", "latin", "matching", "planes")
 
-# runs the CLI on its arguments, then prints the pglatin submodules it loaded
+# runs the CLI on its arguments, then prints the pglatin submodules it loaded and whether it loaded
+# dataclasses (None when the interpreter had loaded it before the CLI was imported)
 CLI_THEN_MODULES = """
 import json, sys
+preloaded = "dataclasses" in sys.modules
 from pglatin.cli import main
 code = main(sys.argv[1:])
 print(json.dumps(sorted(m[8:] for m in sys.modules if m.startswith("pglatin."))))
+print(json.dumps(None if preloaded else "dataclasses" in sys.modules))
 sys.exit(code)
 """
 
@@ -93,9 +96,10 @@ def inputs(tmp_path_factory):
 
 
 def cli_modules(d, *argv):
-    *report, modules = fresh_python(CLI_THEN_MODULES, *argv, cwd=d).splitlines()
+    """The pglatin submodules the subcommand loaded, and whether it loaded dataclasses (None: loaded before)."""
+    *report, modules, dataclasses = fresh_python(CLI_THEN_MODULES, *argv, cwd=d).splitlines()
     json.loads("\n".join(report))
-    return set(json.loads(modules))
+    return set(json.loads(modules)), json.loads(dataclasses)
 
 
 @pytest.mark.parametrize(
@@ -108,17 +112,22 @@ def cli_modules(d, *argv):
         (["extract", "--in", "p.inc", "--out-dir", "ex"], {"cli", "binmat", "canonical", "geometry", "latin"}),
         (["reconstruct", "--in-dir", "sq", "--out", "r.inc"], {"cli", "binmat", "canonical", "geometry", "latin"}),
         (["verify-plane", "--in", "p.inc"], {"cli", "binmat", "geometry"}),
+        (["gen-plane", "--order", "3", "--out", "g.inc"], {"cli", "binmat", "geometry", "planes"}),
     ],
 )
 def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
-    assert cli_modules(inputs, *argv) == loaded
+    modules, dataclasses = cli_modules(inputs, *argv)
+    assert modules == loaded
+    # only matching's reports are dataclasses; the round trip's records are built without the module
+    if dataclasses is not None:
+        assert dataclasses == ("matching" in loaded)
 
 
 @pytest.mark.parametrize(
     "argv", [["gen-plane", "--order", "3", "--out", "g.inc"], ["verify-plane", "--in", "p.inc"]]
 )
 def test_plane_subcommands_skip_canonical_latin_and_matching(inputs, argv):
-    loaded = cli_modules(inputs, *argv)
+    loaded, _ = cli_modules(inputs, *argv)
     assert "geometry" in loaded and not loaded & {"canonical", "latin", "matching"}
     # only gen-plane builds a plane; verify-plane reads its matrix through geometry alone
     assert ("planes" in loaded) == (argv[0] == "gen-plane")
@@ -172,3 +181,19 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_only_matching_imports_dataclasses_and_nothing_runs_generated_code():
+    # dataclasses costs every CLI child its import and an exec per decorated class; binmat._record replaces it
+    for path in sorted((SRC / "pglatin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {node.module}
+            else:
+                imported = set()
+            if path.name != "matching.py":
+                assert "dataclasses" not in imported, f"{path.name}:{node.lineno} imports dataclasses"
+            if isinstance(node, ast.Name):
+                assert node.id not in {"exec", "eval", "compile"}, f"{path.name}:{node.lineno} names {node.id}"
