@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binmat import BinaryMatrix, ones
+from .binmat import BinaryMatrix, _pair_scan, ones
 
 
 def bipartite_matching(
@@ -198,6 +198,13 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
 
     best = cell_block(first)
     weight = best.weight
+    # a plane of order k - 1: m = n = k^2 - k + 1, k >= 3, k ones per row, no two rows sharing two columns.
+    # There N N^T = (k - 1) I + J caps every zero a x b block at a + b <= n - k + 1 (expander mixing), so the
+    # first zero cell, which reaches that, is a heaviest cell and wins every tie
+    k = masks[0].bit_count()
+    if f.rows == n == k * k - k + 1 and k >= 3 and weight == n - k + 1:
+        if all(mask.bit_count() == k for mask in masks) and _pair_scan(n, zip(masks, f.bits))[1] is None:
+            return best
 
     # the groups are the rows of g: f when the global selection kept only columns, else f transposed
     if cols_in:
