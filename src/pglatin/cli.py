@@ -15,17 +15,25 @@ if TYPE_CHECKING:
     from .latin import MplsSet
 
 
+def _decimal(text: str) -> int:
+    """An integer option's value: ASCII digits after an optional minus; int() alone also takes spaces, '+', '_'
+    and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pglatin",
         description="projective planes, mutually projective Latin squares, and matching duality",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized paths (default 0)")
+    parser.add_argument("--seed", type=_decimal, default=0, help="seed for randomized paths (default 0)")
     parser.add_argument("-v", "--verbose", action="store_true", help="progress chatter on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-plane", help="write the incidence matrix of PG(2, q)")
-    p.add_argument("--order", type=int, required=True, metavar="Q")
+    p.add_argument("--order", type=_decimal, required=True, metavar="Q")
     p.add_argument("--out", type=Path, required=True, metavar="F.inc")
     p.add_argument("--json", type=Path, default=None, metavar="G.json", help="also write the geometry as JSON")
 
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="resolve square L<target> into transversals")
     p.add_argument("--in-dir", type=Path, required=True, metavar="DIR")
-    p.add_argument("--target", type=int, required=True, metavar="I", help="1-based, matching L<I>.ls")
+    p.add_argument("--target", type=_decimal, required=True, metavar="I", help="1-based, matching L<I>.ls")
     return parser
 
 

@@ -187,3 +187,23 @@ def test_extract_writes_beside_a_non_ascii_numbered_file(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert sorted(path.name for path in out.iterdir()) == ["L1.ls", "L2.ls", "L５.ls"]
     assert (out / "L５.ls").read_bytes() == b"kept"
+
+
+# integer options take ASCII digits after an optional minus only, where int() also reads all four
+@pytest.mark.parametrize("value", ["３", " 3 ", "1_1", "+3"])
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--order", ["gen-plane", "--out", "p.inc", "--order", "{v}"]),
+        ("--seed", ["--seed", "{v}", "gen-plane", "--out", "p.inc", "--order", "3"]),
+        ("--target", ["resolve", "--in-dir", "sq", "--target", "{v}"]),
+    ],
+)
+def test_integer_options_refuse_what_only_int_reads(option, argv, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sq").mkdir()
+    assert main([arg.format(v=value) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sq"]
