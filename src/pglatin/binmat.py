@@ -49,7 +49,9 @@ def _record(cls: type) -> type:
     class and equal fields; __hash__ hashes the field tuple. A method cls defines itself is kept, as
     dataclass keeps it. Assigning or deleting any attribute raises AttributeError.
     """
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    names = tuple(cls.__annotations__)
+    if not names:
+        raise TypeError(f"{cls.__name__} has no annotated fields")
     post_init = hasattr(cls, "__post_init__")
 
     def values(self) -> tuple:

@@ -31,11 +31,11 @@ direction rebuilds the matrix from a complete set of squares.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .binmat import BinaryMatrix, Permutation, _record, permute
+from .binmat import BinaryMatrix, Permutation, _once, _record, permute
 from .geometry import geometry_from_incidence, plane_check
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ class BlockForm:
     def side(self) -> int:
         return self.matrix.rows
 
-    @cached_property
+    @_once
     def _report(self) -> BlockFormReport:
         """verify_block_form(self), run once per form; the form is frozen."""
         return verify_block_form(self)

@@ -52,7 +52,7 @@ PLAIN = [cls for cls in SAMPLES if cls not in (Geometry, BinaryMatrix)]
 
 
 def names(cls) -> list[str]:
-    return list(vars(cls)["__annotations__"])
+    return list(cls.__annotations__)
 
 
 @cache
@@ -96,6 +96,28 @@ def test_a_field_shows_as_its_repr():
         name: str
 
     assert repr(Named("a b")) == f"{Named.__qualname__}(name='a b')"
+
+
+def test_fields_come_from_the_annotations_however_a_class_keeps_them():
+    # from Python 3.14 a module without `from __future__ import annotations` keeps a class's annotations out of its
+    # __dict__ until first read; this metaclass does the same on every version
+    class Lazy(type):
+        @property
+        def __annotations__(cls):
+            return {"name": str}
+
+    @_record
+    class Named(metaclass=Lazy):
+        pass
+
+    assert "__annotations__" not in vars(Named)
+    assert repr(Named("a")) == f"{Named.__qualname__}(name='a')"
+    assert Named("a") == Named(name="a") and Named("a") != Named("b")
+    with pytest.raises(TypeError, match="has no annotated fields"):
+
+        @_record
+        class Empty:
+            pass
 
 
 def test_binary_matrix_keeps_its_own_repr_and_constructor():
