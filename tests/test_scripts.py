@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,3 +122,32 @@ def test_bench_pipeline_stops_when_a_child_dies(tmp_path):
     proc = run("bench_pipeline.py", ["--quick", "--against", str(tmp_path)])
     assert proc.returncode != 0
     assert f"the run of {tmp_path / 'src'} stopped" in proc.stderr
+
+
+def edited_tree(tmp_path, module, old, new):
+    """A tree under tmp_path whose src/ is this one's with old replaced by new in one module."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "pglatin" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def test_bench_pipeline_times_the_tree_it_is_given(tmp_path):
+    # one extra matching per report: a loader that fell back to this tree would read 2 on both sides
+    solve = "    match_left = bipartite_matching(f.bits, n)\n"
+    tree = edited_tree(tmp_path, "matching.py", solve, "    bipartite_matching(f.bits, n)\n" + solve)
+    result = json.loads(run_script("bench_pipeline.py", ["--quick", "--against", str(tree), "--label", "change"]))
+    assert result["parent"]["groups"]["PG(2, 3)"]["matchings_per_report"] == 3
+    assert result["change"]["groups"]["PG(2, 3)"]["matchings_per_report"] == 2
+
+
+def test_bench_pipeline_checks_the_results_of_the_tree_it_is_given(tmp_path):
+    rebuild = "    return _layout(s.order, [square.entries for square in s.squares])\n"
+    flipped = "    m = _layout(s.order, [square.entries for square in s.squares])\n" \
+              "    return BinaryMatrix.from_masks(m.cols, (m.masks[0] ^ 1, *m.masks[1:]))\n"
+    tree = edited_tree(tmp_path, "canonical.py", rebuild, flipped)
+    proc = run("bench_pipeline.py", ["--quick", "--against", str(tree)])
+    assert proc.returncode != 0
+    assert "wrong result at q = 2" in proc.stderr and f"the run of {tree / 'src'} stopped" in proc.stderr
