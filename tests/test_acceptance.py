@@ -5,6 +5,7 @@ has held, so a verbose run reads as a checklist. Timings are wall-clock and
 asserted where a budget applies.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -35,6 +36,9 @@ from pglatin.planes import build_pg2
 from test_latin import S3_TABLE
 
 PLANE_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+# sha256 of repr(duality_report(f)) over criterion 5's matrices in order, recorded
+# before small matrices were solved by enumerating their short side
+SMALL_REPORTS_DIGEST = "0b94172ffe86f24921b255e13c1f64b2f4f2e63c6f5c664cae9aeb671a769ecd"
 
 
 def test_criterion_01_plane_construction_all_orders():
@@ -85,10 +89,12 @@ def test_criterion_04_round_trip_bit_identical():
 
 def test_criterion_05_duality_exhaustive_and_random():
     started = time.perf_counter()
+    digest = hashlib.sha256()
     for bits in range(1 << 16):
         data = tuple((bits >> i) & 1 for i in range(16))
         f = BinaryMatrix(4, 4, data)
         report = duality_report(f)  # raises if any duality rule fails
+        digest.update(repr(report).encode())
         assert report.v == brute_max_independent_ones(4, 4, data)
         assert report.w == brute_max_zero_weight(4, 4, data)
     rng = random.Random(20250823)
@@ -97,8 +103,10 @@ def test_criterion_05_duality_exhaustive_and_random():
         cols = rng.randint(1, 8)
         data = tuple(rng.randint(0, 1) for _ in range(rows * cols))
         report = duality_report(BinaryMatrix(rows, cols, data))
+        digest.update(repr(report).encode())
         assert report.v == brute_max_independent_ones(rows, cols, data)
         assert report.w == brute_max_zero_weight(rows, cols, data)
+    assert digest.hexdigest() == SMALL_REPORTS_DIGEST
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"duality sweep took {elapsed:.1f}s"
     print(f"[criterion 5] PASS: 65536 exhaustive 4x4 plus 1000 random matrices match brute force in {elapsed:.1f}s")
