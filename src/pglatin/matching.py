@@ -11,6 +11,9 @@ from typing import Sequence
 
 from .binmat import BinaryMatrix, _pair_scan, ones
 
+# _zero_block enumerates the sets of rows (or columns) of a matrix with at most this many of them
+_SHORT_SIDE = 6
+
 
 def bipartite_matching(
     adjacency: Sequence[Sequence[int]], right_size: int, partial: Sequence[int] | None = None
@@ -151,7 +154,9 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
 
     Both selections must be nonempty. When the best selection avoiding every
     one is two-sided it is the answer; otherwise the block is grown from the
-    row-major-first of the zero cells with the heaviest block through them.
+    row-major-first of the zero cells with the heaviest block through them,
+    found by enumerating every set of rows (or columns) when f has at most
+    _SHORT_SIDE of them, and by a bounded search of the zero cells otherwise.
     """
     return _zero_block(f, bipartite_matching(f.bits, f.cols))
 
@@ -164,16 +169,21 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
     a zero cell (i, j) leaves a remainder of a rows zero at j and b columns
     zero in row i; the cell weighs 2 + a + b - nu for the remainder's maximum
     matching nu, and its block is the cover's selection, the same for every
-    maximum matching (Dulmage-Mendelsohn). A cell replaces the best only when
-    heavier, or equally heavy and earlier in row-major order, so the order
-    cells are decided in does not matter. A cell is skipped when a bound on
-    nu shows it cannot win: Konig's nu >= ceil(e / D) for a remainder of e
-    ones and degrees at most D, or the global pairs inside the remainder,
-    which also warm-start every cell solved. The first zero cell is solved
-    first; the others are grouped by the side the global selection left
-    empty, heaviest bound first, and a group with two or more cells that can
-    still win gets one _Relaxation, whose heavy column decides the group and
-    whose caps otherwise prune the cells solved.
+    maximum matching (Dulmage-Mendelsohn). When f has at most _SHORT_SIDE
+    rows or columns, each nonempty set S of those lines and the lines zero
+    on all of S make a block, every heaviest block is one of them, and the
+    heaviest zero cell first in row-major order is the first cell of one;
+    its block is the answer, with no other cell solved. Otherwise a cell
+    replaces the best only when heavier, or equally heavy and earlier in
+    row-major order, so the order cells are decided in does not matter. A
+    cell is skipped when a bound on nu shows it cannot win: Konig's
+    nu >= ceil(e / D) for a remainder of e ones and degrees at most D, or the
+    global pairs inside the remainder, which also warm-start every cell
+    solved. The first zero cell is solved first; the others are grouped by
+    the side the global selection left empty, heaviest bound first, and a
+    group with two or more cells that can still win gets one _Relaxation,
+    whose heavy column decides the group and whose caps otherwise prune the
+    cells solved.
     """
     n = f.cols
     rows_in, cols_in = _independent_selection(f.bits, n, match_left)
@@ -195,6 +205,22 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
         rows_sel = tuple(sorted({i} | {cand_rows[r] for r in sub_rows}))
         cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
         return ZeroBlockWitness(rows_sel, cols_sel)
+
+    if min(f.rows, n) <= _SHORT_SIDE:
+        # the short side's lines; unions[S] is the union of the lines in S, S as a bit set, and blocks holds
+        # each block's weight, negated, and its first cell in row-major order: (min S, min zeros) for rows
+        by_rows = f.rows <= n
+        lines, across = (masks, full) if by_rows else (ft.masks, (1 << f.rows) - 1)
+        unions = [0]
+        for line in lines:
+            unions += [union | line for union in unions]
+        blocks = []
+        for s in range(1, len(unions)):
+            zeros = across ^ unions[s]
+            if zeros:
+                low, zero = (s & -s).bit_length() - 1, (zeros & -zeros).bit_length() - 1
+                blocks.append((-s.bit_count() - zeros.bit_count(), (low, zero) if by_rows else (zero, low)))
+        return cell_block(min(blocks)[1])
 
     best = cell_block(first)
     weight = best.weight

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pglatin import BinaryMatrix, Geometry, LatinSquare, MplsSet, build_pg2, canonicalize
+from pglatin import BinaryMatrix, Geometry, LatinSquare, MplsSet, build_pg2, canonicalize, matching
 from pglatin.geometry import incidence_from_geometry
 
 # Fano plane on points 0..6, lines listed in canonical block order
@@ -21,6 +21,12 @@ ORDER5_ROWS = (
     ((1, 4, 5, 2, 3), (2, 1, 3, 5, 4), (3, 5, 1, 4, 2), (4, 3, 2, 1, 5), (5, 2, 4, 3, 1)),
     ((1, 5, 2, 3, 4), (3, 1, 4, 2, 5), (4, 2, 1, 5, 3), (5, 4, 3, 1, 2), (2, 3, 5, 4, 1)),
 )
+
+
+@pytest.fixture
+def search_only(monkeypatch):
+    """Send every one-sided matrix down the bounded per-cell search, however few rows or columns it has."""
+    monkeypatch.setattr(matching, "_SHORT_SIDE", 0)
 
 
 @pytest.fixture(scope="session")
