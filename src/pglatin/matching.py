@@ -11,7 +11,8 @@ from typing import Sequence
 
 from .binmat import BinaryMatrix, _pair_scan, ones
 
-# _zero_block enumerates the sets of rows (or columns) of a matrix with at most this many of them
+# _zero_block enumerates the sets of rows (or columns) of a matrix with at most this many of them; 6 is below
+# the measured crossover with the search (about 11) and keeps every plane, the smallest 7 x 7, on the search
 _SHORT_SIDE = 6
 
 

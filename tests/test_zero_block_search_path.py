@@ -17,7 +17,7 @@ from test_zero_block_differential import (
     test_random_matrices,
     test_relabelled_planes_with_and_without_a_flip,
 )
-from test_zero_block_forced_side import (
+from test_zero_block_forced_side import (  # relaxations: the fixture the witness test records with
     relaxations,
     test_matchings_stay_within_budget,
     test_thin_and_wide_shapes,
