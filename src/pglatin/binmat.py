@@ -288,8 +288,15 @@ def is_permutation_matrix(m: BinaryMatrix) -> bool:
 # plain text serialization: a header line "rows cols" followed by one line of
 # space-separated 0/1 digits per row
 
-# deletes every character an .inc text may hold; what is left is illegal
-_INC_CHARS = str.maketrans("", "", "0123456789 \n")
+# deletes every character an .inc or .ls text may hold; what is left is illegal
+_TEXT_CHARS = str.maketrans("", "", "0123456789 \n")
+
+
+def _check_chars(text: str, what: str) -> None:
+    """FormatError naming the smallest character of text that is not a digit, a space or a newline."""
+    leftover = text.translate(_TEXT_CHARS)
+    if leftover:
+        raise FormatError(f"illegal character {min(leftover)!r} in {what} text")
 
 
 def to_inc_text(m: BinaryMatrix) -> str:
@@ -307,9 +314,7 @@ def to_inc_text(m: BinaryMatrix) -> str:
 def from_inc_text(text: str) -> BinaryMatrix:
     """The matrix an .inc text holds. A row as to_inc_text writes it, digits 0 or 1 at even offsets and single
     spaces between, is read in one int() call; any other is split into tokens, which read it or find its error."""
-    leftover = text.translate(_INC_CHARS)
-    if leftover:
-        raise FormatError(f"illegal character {min(leftover)!r} in matrix text")
+    _check_chars(text, "matrix")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

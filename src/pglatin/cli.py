@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (FormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

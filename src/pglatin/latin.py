@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .binmat import FormatError, _decimals, _pair_scan, _record
+from .binmat import FormatError, _check_chars, _decimals, _pair_scan, _record
 
 
 @_record
@@ -368,8 +368,6 @@ def group_product_cover(cayley: LatinSquare, a_rows: Iterable[int], b_cols: Iter
 # text form: header line "n", then n rows of space-separated symbols; a set
 # is one file per square
 
-_LS_CHARS = frozenset("0123456789 \n")
-
 
 def to_ls_text(square: LatinSquare) -> str:
     lines = [str(square.order)]
@@ -379,9 +377,7 @@ def to_ls_text(square: LatinSquare) -> str:
 
 
 def from_ls_text(text: str) -> LatinSquare:
-    bad = set(text) - _LS_CHARS
-    if bad:
-        raise FormatError(f"illegal character {sorted(bad)[0]!r} in square text")
+    _check_chars(text, "square")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()

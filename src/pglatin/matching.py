@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .binmat import BinaryMatrix, _pair_scan, ones
 
-# _zero_block enumerates the sets of rows (or columns) of a matrix with at most this many of them; 6 is below
+# _zero_block enumerates the sets of a short side's lines when there are at most this many of them; 6 is below
 # the measured crossover with the search (about 11) and keeps every plane, the smallest 7 x 7, on the search
 _SHORT_SIDE = 6
 
@@ -156,8 +156,9 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     Both selections must be nonempty. When the best selection avoiding every
     one is two-sided it is the answer; otherwise the block is grown from the
     row-major-first of the zero cells with the heaviest block through them,
-    found by enumerating every set of rows (or columns) when f has at most
-    _SHORT_SIDE of them, and by a bounded search of the zero cells otherwise.
+    found by enumerating every set of the short side's lines when there are
+    at most _SHORT_SIDE of them, and otherwise by a bounded search of the
+    zero cells, grouped by the short side's lines.
     """
     return _zero_block(f, bipartite_matching(f.bits, f.cols))
 
@@ -166,39 +167,40 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
     """max_zero_submatrix from f and a maximum matching on its ones.
 
     The best selection avoiding every one weighs m + n - (maximum matching)
-    and comes from the alternating-path cover. When it is one-sided, forcing
-    a zero cell (i, j) leaves a remainder of a rows zero at j and b columns
-    zero in row i; the cell weighs 2 + a + b - nu for the remainder's maximum
-    matching nu, and its block is the cover's selection, the same for every
-    maximum matching (Dulmage-Mendelsohn). When f has at most _SHORT_SIDE
-    rows or columns, each nonempty set S of those lines and the lines zero
-    on all of S make a block, every heaviest block is one of them, and the
-    heaviest zero cell first in row-major order is the first cell of one;
-    its block is the answer, with no other cell solved. Otherwise a cell
-    replaces the best only when heavier, or equally heavy and earlier in
-    row-major order, so the order cells are decided in does not matter. A
-    cell is skipped when a bound on nu shows it cannot win: Konig's
-    nu >= ceil(e / D) for a remainder of e ones and degrees at most D, or the
-    global pairs inside the remainder, which also warm-start every cell
-    solved. The first zero cell is solved first; the others are grouped by
-    the side the global selection left empty, heaviest bound first, and a
-    group with two or more cells that can still win gets one _Relaxation,
-    whose heavy column decides the group and whose caps otherwise prune the
-    cells solved.
+    and comes from the alternating-path cover. When it is one-sided, the
+    rest works on the short side's lines. Forcing a zero cell (i, j) leaves
+    a remainder of a rows zero at j and b columns zero in row i; the cell
+    weighs 2 + a + b - nu for the remainder's maximum matching nu, and its
+    block is the cover's selection, the same for every maximum matching
+    (Dulmage-Mendelsohn). When the short side has at most _SHORT_SIDE lines,
+    each nonempty set S of them and the lines zero on all of S make a block,
+    every heaviest block is one of them, and the heaviest zero cell first in
+    row-major order is the first cell of one; its block is the answer, with
+    no other cell solved. Otherwise a cell replaces the best only when
+    heavier, or equally heavy and earlier in row-major order, so the order
+    cells are decided in does not matter. A cell is skipped when a bound on
+    nu shows it cannot win: Konig's nu >= ceil(e / D) for a remainder of e
+    ones and degrees at most D, or the global pairs inside the remainder,
+    which also warm-start every cell solved. The first zero cell is solved
+    first; the others are grouped by the short side's lines, heaviest bound
+    first, and a group with two or more cells that can still win gets one
+    _Relaxation, whose heavy column decides the group and whose caps
+    otherwise prune the cells solved.
     """
     n = f.cols
     rows_in, cols_in = _independent_selection(f.bits, n, match_left)
     if rows_in and cols_in:
         return ZeroBlockWitness(tuple(rows_in), tuple(cols_in))
     masks, full = f.masks, (1 << n) - 1
-    first = next(((i, (~mask & mask + 1).bit_length() - 1) for i, mask in enumerate(masks) if mask != full), None)
+    # cell (i, j) of f has the key i * n + j, so the earlier of two equally heavy cells has the lower key
+    first = next((i * n + (~mask & mask + 1).bit_length() - 1 for i, mask in enumerate(masks) if mask != full), None)
     if first is None:
         return None
     ft = f.transpose()
 
-    def cell_block(cell: tuple[int, int]) -> ZeroBlockWitness:
-        """The block the cover selects once zero cell (i, j) is forced."""
-        i, j = cell
+    def cell_block(key: int) -> ZeroBlockWitness:
+        """The block the cover selects once the zero cell with this key is forced."""
+        i, j = divmod(key, n)
         cand_rows = ones((1 << f.rows) - 1 ^ ft.masks[j] ^ 1 << i)
         cand_cols = ones(full ^ masks[i] ^ 1 << j)
         sub_adj, sub_match = _submatching(f.bits, match_left, cand_rows, cand_cols)
@@ -207,20 +209,31 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
         cols_sel = tuple(sorted({j} | {cand_cols[c] for c in sub_cols}))
         return ZeroBlockWitness(rows_sel, cols_sel)
 
-    if min(f.rows, n) <= _SHORT_SIDE:
-        # the short side's lines; unions[S] is the union of the lines in S, S as a bit set, and blocks holds
-        # each block's weight, negated, and its first cell in row-major order: (min S, min zeros) for rows
-        by_rows = f.rows <= n
-        lines, across = (masks, full) if by_rows else (ft.masks, (1 << f.rows) - 1)
+    # a one-sided selection means the matching saturates the short side (Konig): g is f with that side as rows,
+    # matched in full by g_match, and g's cell (i, j) has the key i * di + j * dj
+    if f.rows <= n:
+        g, gt, g_match, di, dj = f, ft, match_left, n, 1
+    else:
+        g, gt, g_match, di, dj = ft, f, [-1] * n, 1, n
+        for r, c in enumerate(match_left):
+            if c >= 0:
+                g_match[c] = r
+    g_masks, g_col_masks = g.masks, gt.masks
+    gm, gn = len(g_masks), len(g_col_masks)
+    all_rows, all_cols = (1 << gm) - 1, (1 << gn) - 1
+
+    if gm <= _SHORT_SIDE:
+        # unions[S] is the union of the rows in S, S as a bit set, and blocks holds each block's weight, negated,
+        # and the key of its first cell, (min S, min zeros)
         unions = [0]
-        for line in lines:
-            unions += [union | line for union in unions]
+        for mask in g_masks:
+            unions += [union | mask for union in unions]
         blocks = []
         for s in range(1, len(unions)):
-            zeros = across ^ unions[s]
+            zeros = all_cols ^ unions[s]
             if zeros:
-                low, zero = (s & -s).bit_length() - 1, (zeros & -zeros).bit_length() - 1
-                blocks.append((-s.bit_count() - zeros.bit_count(), (low, zero) if by_rows else (zero, low)))
+                key = ((s & -s).bit_length() - 1) * di + ((zeros & -zeros).bit_length() - 1) * dj
+                blocks.append((-s.bit_count() - zeros.bit_count(), key))
         return cell_block(min(blocks)[1])
 
     best = cell_block(first)
@@ -228,42 +241,27 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
     # a plane of order k - 1: m = n = k^2 - k + 1, k >= 3, k ones per row, no two rows sharing two columns.
     # There N N^T = (k - 1) I + J caps every zero a x b block at a + b <= n - k + 1 (expander mixing), so the
     # first zero cell, which reaches that, is a heaviest cell and wins every tie
-    k = masks[0].bit_count()
-    if f.rows == n == k * k - k + 1 and k >= 3 and weight == n - k + 1:
-        if all(mask.bit_count() == k for mask in masks) and _pair_scan(n, zip(masks, f.bits))[1] is None:
+    k = g_masks[0].bit_count()
+    if gm == gn == k * k - k + 1 and k >= 3 and weight == gn - k + 1:
+        if all(mask.bit_count() == k for mask in g_masks) and _pair_scan(gn, zip(g_masks, g.bits))[1] is None:
             return best
 
-    # the groups are the rows of g: f when the global selection kept only columns, else f transposed
-    if cols_in:
-        g, gt, g_match = f, ft, match_left
-    else:
-        g, gt, g_match = ft, f, [-1] * n
-        for r, c in enumerate(match_left):
-            if c >= 0:
-                g_match[c] = r
-    g_masks, g_col_masks, g_adj, g_col_adj = g.masks, gt.masks, g.bits, gt.bits
-
-    # a cell is named by its row-major index, so the earlier of two equally heavy cells has the lower key
-    steps = (n, 1) if cols_in else (1, n)
-    best_key = first[0] * n + first[1]
+    g_adj, g_col_adj, best_key = g.bits, gt.bits, first
 
     def beats(w: int, key: int) -> bool:
         return w > weight or w == weight and key < best_key
 
-    gm, gn = len(g_masks), len(g_col_masks)
-    all_rows, all_cols = (1 << gm) - 1, (1 << gn) - 1
     # no column of a remainder forcing column j holds more ones than col_deg[j]
     col_deg = [max([(other & ~mask).bit_count() for other in g_col_masks]) for mask in g_col_masks]
-    partner = {c: 1 << r for r, c in enumerate(g_match) if c >= 0}
-    matched_rows = sum(partner.values())
+    partner = {c: 1 << r for r, c in enumerate(g_match)}
     # per row of g, the cells whose bounds beat the first cell: (best bound, i, [(bound, key, j)])
     groups = []
     for i, mask in enumerate(g_masks):
         # a remainder row r is zero at the forced column, so it holds exactly overlap[r] ones
         overlap = [(other & ~mask).bit_count() for other in g_masks]
         total, row_deg, b = sum(overlap), max(overlap), gn - 1 - len(g_adj[i])
-        # matched rows whose partner is a zero of row i; those zero at j keep their pair
-        kept = matched_rows ^ sum(partner.get(c, 0) for c in g_adj[i])
+        # the rows whose partner is a zero of row i (row i's own is a one); those zero at j keep their pair
+        kept = all_rows ^ sum(partner.get(c, 0) for c in g_adj[i])
         candidates = []
         for j in ones(all_cols ^ mask):
             a = gm - 1 - len(g_col_adj[j])
@@ -272,8 +270,8 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
             bound = 2 + a + b - (e + delta - 1) // delta
             if bound <= weight:
                 continue
-            bound = min(bound, 2 + a + b - (kept & (all_rows ^ g_col_masks[j] ^ 1 << i)).bit_count())
-            key = i * steps[0] + j * steps[1]
+            bound = min(bound, 2 + a + b - (kept & ~g_col_masks[j]).bit_count())
+            key = i * di + j * dj
             if bound > weight and key != best_key:
                 candidates.append((bound, key, j))
         if candidates:
@@ -285,7 +283,7 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
         if len(candidates) >= 2:
             relaxed = _Relaxation(g_adj, g_match, g_col_masks, i, g_masks[i])
             if relaxed.heavy:
-                key = i * steps[0] + relaxed.heavy[0] * steps[1]
+                key = i * di + relaxed.heavy[0] * dj
                 if beats(relaxed.alpha + 1, key):
                     best, weight, best_key = None, relaxed.alpha + 1, key
                 continue
@@ -296,10 +294,10 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
                     bound = min(bound, relaxed.augmented_cap(g_col_masks[j]))
             if not beats(bound, key):
                 continue
-            block = cell_block(divmod(key, n))
+            block = cell_block(key)
             if beats(block.weight, key):
                 best, weight, best_key = block, block.weight, key
-    return best if best is not None else cell_block(divmod(best_key, n))
+    return best if best is not None else cell_block(best_key)
 
 
 def _submatching(

@@ -13,9 +13,9 @@ import pytest
 
 from oracles import per_cell_zero_block
 from pglatin import matching
-from pglatin.binmat import BinaryMatrix, Permutation, permute
+from pglatin.binmat import BinaryMatrix
 from pglatin.matching import duality_report, max_independent_ones, max_zero_submatrix
-from pglatin.planes import build_pg2
+from samples import relabelled_plane
 
 
 def assert_agrees(f: BinaryMatrix) -> None:
@@ -25,14 +25,6 @@ def assert_agrees(f: BinaryMatrix) -> None:
     report = duality_report(f)
     assert report.w_witness == found
     assert report.v_witness == max_independent_ones(f)
-
-
-def relabelled_plane(q: int, rng: random.Random) -> BinaryMatrix:
-    incidence = build_pg2(q).incidence
-    rows, cols = list(range(incidence.rows)), list(range(incidence.cols))
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    return permute(incidence, Permutation(tuple(rows)), Permutation(tuple(cols)))
 
 
 def flip(f: BinaryMatrix, r: int, c: int) -> BinaryMatrix:
