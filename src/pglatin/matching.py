@@ -11,9 +11,9 @@ from typing import Sequence
 
 from .binmat import BinaryMatrix, _pair_scan, ones
 
-# _zero_block enumerates the sets of a short side's lines when there are at most this many of them; 6 is below
-# the measured crossover with the search (about 11) and keeps every plane, the smallest 7 x 7, on the search
-_SHORT_SIDE = 6
+# _zero_block enumerates the sets of a short side's lines when there are at most this many of them: the measured
+# crossover with the search, which is faster from 11 lines on; planes of order 3 and up, 13 x 13 or larger, stay on it
+_SHORT_SIDE = 10
 
 
 def bipartite_matching(
@@ -154,11 +154,11 @@ def max_zero_submatrix(f: BinaryMatrix) -> ZeroBlockWitness | None:
     """A zero submatrix maximizing rows + cols, or None when f has no zero.
 
     Both selections must be nonempty. When the best selection avoiding every
-    one is two-sided it is the answer; otherwise the block is grown from the
-    row-major-first of the zero cells with the heaviest block through them,
-    found by enumerating every set of the short side's lines when there are
-    at most _SHORT_SIDE of them, and otherwise by a bounded search of the
-    zero cells, grouped by the short side's lines.
+    one is two-sided it is the answer; otherwise it is the heaviest block with
+    the fewest rows through the row-major-first of the heaviest zero cells,
+    read off an enumeration of every set of the short side's lines when there
+    are at most _SHORT_SIDE of them, and otherwise grown from the cell that a
+    bounded search of the zero cells, grouped by the short side's lines, finds.
     """
     return _zero_block(f, bipartite_matching(f.bits, f.cols))
 
@@ -167,25 +167,26 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
     """max_zero_submatrix from f and a maximum matching on its ones.
 
     The best selection avoiding every one weighs m + n - (maximum matching)
-    and comes from the alternating-path cover. When it is one-sided, the
-    rest works on the short side's lines. Forcing a zero cell (i, j) leaves
-    a remainder of a rows zero at j and b columns zero in row i; the cell
-    weighs 2 + a + b - nu for the remainder's maximum matching nu, and its
-    block is the cover's selection, the same for every maximum matching
-    (Dulmage-Mendelsohn). When the short side has at most _SHORT_SIDE lines,
-    each nonempty set S of them and the lines zero on all of S make a block,
-    every heaviest block is one of them, and the heaviest zero cell first in
-    row-major order is the first cell of one; its block is the answer, with
-    no other cell solved. Otherwise a cell replaces the best only when
-    heavier, or equally heavy and earlier in row-major order, so the order
-    cells are decided in does not matter. A cell is skipped when a bound on
-    nu shows it cannot win: Konig's nu >= ceil(e / D) for a remainder of e
-    ones and degrees at most D, or the global pairs inside the remainder,
-    which also warm-start every cell solved. The first zero cell is solved
-    first; the others are grouped by the short side's lines, heaviest bound
-    first, and a group with two or more cells that can still win gets one
-    _Relaxation, whose heavy column decides the group and whose caps
-    otherwise prune the cells solved.
+    and comes from the alternating-path cover. When it is one-sided, the rest
+    works on the short side's lines. Forcing a zero cell (i, j) leaves a
+    remainder of a rows zero at j and b columns zero in row i; the cell weighs
+    2 + a + b - nu for the remainder's maximum matching nu, and its block is
+    the cover's selection, the same for every maximum matching: of the
+    heaviest blocks (R, C) through the cell, closed under (R & R', C | C') and
+    (R | R', C & C') (Dulmage-Mendelsohn), the one with the fewest rows of f.
+    With at most _SHORT_SIDE short-side lines, the sets S of them and the
+    lines Z zero on all of S give every heaviest block; those through the
+    row-major-first heaviest cell all have it first, so the least by weight,
+    first cell, then rows of f is the answer, and no further matching is
+    solved. Otherwise a cell replaces the best only when heavier, or equally
+    heavy and earlier in row-major order, so the order cells are decided in
+    does not matter. A cell is skipped when a bound on nu shows it cannot win:
+    Konig's nu >= ceil(e / D) for a remainder of e ones and degrees at most D,
+    or the global pairs inside the remainder, which also warm-start every cell
+    solved. The first zero cell is solved first; the others are grouped by the
+    short side's lines, heaviest bound first, and a group with two or more
+    cells that can still win gets one _Relaxation, whose heavy column decides
+    the group and whose caps otherwise prune the cells solved.
     """
     n = f.cols
     rows_in, cols_in = _independent_selection(f.bits, n, match_left)
@@ -196,7 +197,6 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
     first = next((i * n + (~mask & mask + 1).bit_length() - 1 for i, mask in enumerate(masks) if mask != full), None)
     if first is None:
         return None
-    ft = f.transpose()
 
     def cell_block(key: int) -> ZeroBlockWitness:
         """The block the cover selects once the zero cell with this key is forced."""
@@ -210,21 +210,20 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
         return ZeroBlockWitness(rows_sel, cols_sel)
 
     # a one-sided selection means the matching saturates the short side (Konig): g is f with that side as rows,
-    # matched in full by g_match, and g's cell (i, j) has the key i * di + j * dj
+    # matched in full by g_match, g's cell (i, j) has the key i * di + j * dj, and sign is -1 when g is f transposed
     if f.rows <= n:
-        g, gt, g_match, di, dj = f, ft, match_left, n, 1
+        g, g_match, di, dj, sign = f, match_left, n, 1, 1
     else:
-        g, gt, g_match, di, dj = ft, f, [-1] * n, 1, n
+        g, g_match, di, dj, sign = f.transpose(), [-1] * n, 1, n, -1
         for r, c in enumerate(match_left):
             if c >= 0:
                 g_match[c] = r
-    g_masks, g_col_masks = g.masks, gt.masks
-    gm, gn = len(g_masks), len(g_col_masks)
+    g_masks, gm, gn = g.masks, g.rows, g.cols
     all_rows, all_cols = (1 << gm) - 1, (1 << gn) - 1
 
     if gm <= _SHORT_SIDE:
-        # unions[S] is the union of the rows in S, S as a bit set, and blocks holds each block's weight, negated,
-        # and the key of its first cell, (min S, min zeros)
+        # unions[S] is the union of the rows in S, S as a bit set; blocks rank by weight, the key of their first cell,
+        # (min S, min zeros), and then f's rows, fewest first: sign * |S|
         unions = [0]
         for mask in g_masks:
             unions += [union | mask for union in unions]
@@ -233,8 +232,14 @@ def _zero_block(f: BinaryMatrix, match_left: list[int]) -> ZeroBlockWitness | No
             zeros = all_cols ^ unions[s]
             if zeros:
                 key = ((s & -s).bit_length() - 1) * di + ((zeros & -zeros).bit_length() - 1) * dj
-                blocks.append((-s.bit_count() - zeros.bit_count(), key))
-        return cell_block(min(blocks)[1])
+                size = s.bit_count()
+                blocks.append((-size - zeros.bit_count(), key, sign * size, s))
+        s = min(blocks)[3]
+        lines, zeros = tuple(ones(s)), tuple(ones(all_cols ^ unions[s]))
+        return ZeroBlockWitness(lines, zeros) if sign > 0 else ZeroBlockWitness(zeros, lines)
+
+    gt, ft = (f, g) if sign < 0 else (f.transpose(),) * 2  # the transposes of g and f
+    g_col_masks = gt.masks
 
     best = cell_block(first)
     weight = best.weight

@@ -6,8 +6,10 @@ cells by a forced column (rows-only selection) or a forced row
 must stay tests/oracles.per_cell_zero_block's, tuple for tuple, on seeded
 random matrices of every shape, on their transposes, and wherever the
 groups tie for the maximum weight. Each branch of the search is reached by
-enough inputs to matter, and the matchings spent stay within a pinned
-budget, so a weaker bound shows up as a cost even when the answer holds.
+enough inputs to matter, on the default path too, where only the inputs
+with a short side past matching._SHORT_SIDE lines are searched; and the
+matchings spent stay within a pinned budget on each path, so a weaker
+bound shows up as a cost even when the answer holds.
 """
 
 import random
@@ -19,10 +21,13 @@ from oracles import _alternating_cover, augmenting_path_matching, per_cell_zero_
 from pglatin import matching
 from pglatin.binmat import BinaryMatrix
 from pglatin.matching import duality_report, max_zero_submatrix
+from samples import random_matrix
 
-# bipartite_matching calls that max_zero_submatrix makes over all INPUTS;
-# lower it when the search gets cheaper, never raise it to let a change pass
+# bipartite_matching calls that max_zero_submatrix makes over all INPUTS, on the search alone (the search_only
+# fixture) and on the default path, which enumerates every input with a short side of at most
+# matching._SHORT_SIDE lines; lower them when the search gets cheaper, never raise them to let a change pass
 MATCHING_BUDGET = 4034
+DEFAULT_PATH_MATCHING_BUDGET = 1265
 
 
 def random_inputs() -> list[BinaryMatrix]:
@@ -37,6 +42,20 @@ def random_inputs() -> list[BinaryMatrix]:
 
 
 INPUTS = random_inputs()
+
+
+def wider_inputs() -> list[BinaryMatrix]:
+    """Seeded matrices with 11 to 13 rows and columns, and their transposes: short sides past matching._SHORT_SIDE,
+    so the search and its relaxations see them on the default path too."""
+    rng = random.Random(20261021)
+    found = []
+    for k in range(150):
+        f = random_matrix(rng, rng.randint(11, 13), rng.randint(11, 13), (0.25, 0.35, 0.45, 0.55)[k % 4])
+        found += [f, f.transpose()]
+    return found
+
+
+WIDER = wider_inputs()
 
 
 def cell_weights(f: BinaryMatrix) -> dict[tuple[int, int], int]:
@@ -80,7 +99,7 @@ def relaxations(monkeypatch):
 
 def test_witnesses_match_the_per_cell_scan(relaxations):
     reached = Counter()
-    for f in INPUTS:
+    for f in INPUTS + WIDER:
         del relaxations[:]
         expected = per_cell_zero_block(f.rows, f.cols, f.data)
         found = max_zero_submatrix(f)
@@ -103,7 +122,7 @@ def test_matchings_stay_within_budget(monkeypatch):
     monkeypatch.setattr(matching, "bipartite_matching", lambda *args: calls.append(1) or solve(*args))
     for f in INPUTS:
         max_zero_submatrix(f)
-    assert len(calls) <= MATCHING_BUDGET
+    assert len(calls) <= (MATCHING_BUDGET if matching._SHORT_SIDE == 0 else DEFAULT_PATH_MATCHING_BUDGET), len(calls)
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 9), (9, 2), (12, 5), (5, 12)])

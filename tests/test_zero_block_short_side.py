@@ -1,11 +1,14 @@
 """Enumerating the short side against the bounded search and the per-cell scan.
 
 A one-sided matrix with at most matching._SHORT_SIDE rows or columns gets
-its witness from the sets of those lines: the row-major-first cell of the
-heaviest blocks, solved once. That witness must be the one the search finds
-(_SHORT_SIDE = 0) and the one tests/oracles.per_cell_zero_block finds, tuple
-for tuple, on every 3x3, 2xn and nx2 matrix and on seeded matrices with 1
-to 6 rows or columns; and the path must follow the short side alone.
+its witness from the sets of those lines: of the heaviest blocks whose
+first cell is the row-major-first, the one with the fewest rows, read off
+the enumeration with no matching solved. That witness must be the one the
+search finds (_SHORT_SIDE = 0) and the one tests/oracles.per_cell_zero_block
+finds, tuple for tuple, on every 3x3, 2xn and nx2 matrix and on seeded
+matrices with 1 to 10 rows or columns, enough of them with heaviest blocks
+through that cell that differ in their row counts; and the path must follow
+the short side alone.
 """
 
 import random
@@ -34,13 +37,29 @@ def assert_agrees(f: BinaryMatrix, reached: Counter) -> None:
     found, listed = solve(f, matching._SHORT_SIDE)
     searched, searched_listed = solve(f, 0)
     assert found == searched == per_cell_zero_block(f.rows, f.cols, f.data), f.to_grid()
-    # a two-sided or zero-free matrix lists no mask; enumerating lists the one forced cell's two, and the search
-    # goes on to list the zeros of every row it groups by
+    # a two-sided or zero-free matrix lists no mask; enumerating lists the block's two, and the search goes on from
+    # the first cell's two to list the zeros of every row it groups by
     assert listed == searched_listed == 0 or searched_listed > 2, f.to_grid()
     if listed:
         short = min(f.rows, f.cols) <= matching._SHORT_SIDE
         assert (listed == 2) == short, f.to_grid()
         reached["searched" if not short else "rows" if f.rows <= f.cols else "cols"] += 1
+        reached["row counts differ"] += short and len(row_counts(f, found)) > 1
+
+
+def row_counts(f: BinaryMatrix, found: tuple) -> set:
+    """The row counts of f's heaviest zero blocks through the first cell of found, a heaviest block, from every set
+    of the short side's lines."""
+    g, i, j = (f, found[0][0], found[1][0]) if f.rows <= f.cols else (f.transpose(), found[1][0], found[0][0])
+    weight, all_cols, counts = len(found[0]) + len(found[1]), (1 << g.cols) - 1, set()
+    unions = [0]
+    for mask in g.masks:
+        unions += [union | mask for union in unions]
+    for s, union in enumerate(unions):
+        zeros = all_cols ^ union
+        if s >> i & 1 and zeros >> j & 1 and s.bit_count() + zeros.bit_count() == weight:
+            counts.add(s.bit_count() if g is f else zeros.bit_count())
+    return counts
 
 
 def test_every_3x3_matrix():
@@ -68,13 +87,24 @@ def test_seeded_short_sides(seed):
         f = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 12), (k % 24 + 1) / 25)
         assert_agrees(f, reached)
         assert_agrees(f.transpose(), reached)
-    assert min(reached["rows"], reached["cols"]) >= 100, reached
+    assert min(reached["rows"], reached["cols"]) >= 100 and reached["row counts differ"] >= 20, reached
 
 
-def test_seven_lines_are_searched():
-    rng, reached = random.Random(7), Counter()
+@pytest.mark.parametrize("lines", range(7, 11))
+def test_seeded_longer_short_sides(lines):
+    # 200 matrices per side length and their transposes, with that many rows and up to 14 columns
+    rng, reached = random.Random(lines), Counter()
+    for k in range(200):
+        f = random_matrix(rng, lines, rng.randint(lines, 14), (k % 9 + 1) / 10)
+        assert_agrees(f, reached)
+        assert_agrees(f.transpose(), reached)
+    assert min(reached["rows"], reached["cols"]) >= 80 and reached["row counts differ"] >= 20, reached
+
+
+def test_lines_past_the_short_side_are_searched():
+    rng, reached, lines = random.Random(7), Counter(), matching._SHORT_SIDE + 1
     for k in range(60):
-        f = random_matrix(rng, 7, rng.randint(7, 12), (0.3, 0.5, 0.7)[k % 3])
+        f = random_matrix(rng, lines, rng.randint(lines, lines + 5), (0.3, 0.5, 0.7)[k % 3])
         assert_agrees(f, reached)
         assert_agrees(f.transpose(), reached)
     assert reached["searched"] >= 60, reached
