@@ -28,7 +28,7 @@ def witness(f: BinaryMatrix):
 
 def searched(f: BinaryMatrix, monkeypatch) -> bool:
     """Whether max_zero_submatrix(f) went on to bound the other zero cells: it lists each row's zeros to do so,
-    while the first cell's block alone lists two masks."""
+    while the first cell's block alone, like an enumerated block, lists two masks."""
     calls = []
     # a context of its own, so that leaving it keeps the caller's patches, such as search_only's _SHORT_SIDE
     with monkeypatch.context() as patch:

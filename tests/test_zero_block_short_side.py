@@ -1,8 +1,8 @@
 """Enumerating the short side against the bounded search and the per-cell scan.
 
 A one-sided matrix with at most matching._SHORT_SIDE rows or columns gets
-its witness from the sets of those lines: of the heaviest blocks whose
-first cell is the row-major-first, the one with the fewest rows, read off
+its witness from the sets of those lines: of the heaviest blocks through
+the row-major-first heaviest cell, the one with the fewest rows, read off
 the enumeration with no matching solved. That witness must be the one the
 search finds (_SHORT_SIDE = 0) and the one tests/oracles.per_cell_zero_block
 finds, tuple for tuple, on every 3x3, 2xn and nx2 matrix and on seeded
