@@ -33,42 +33,46 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (p, k) if rest == 1 else None
 
 
-# polynomials over Z_p as coefficient tuples, lowest power first, trimmed
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a divided by m; m must be monic."""
-    rem = list(a)
-    dm = len(m) - 1
-    while len(rem) - 1 >= dm and any(rem):
-        lead = rem[-1] % p
-        if lead == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - dm
-        for i, c in enumerate(m):
-            rem[shift + i] = (rem[shift + i] - lead * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
-
-
 def _monic_polys(p: int, degree: int):
     """Monic polynomials of the given degree, the lower coefficients read as a base-p number, smallest first."""
     for lower in product(range(p), repeat=degree):
         yield lower[::-1] + (1,)
 
 
+def _field_tables(p: int, modulus: tuple[int, ...]):
+    """Addition, product and inverse tables of Z_p[x]/(modulus), modulus monic; None if that ring is no field.
+
+    Elements are encoded as in FiniteField. a + b has the low digit
+    (a + b) % p under the digits of (a // p) + (b // p). Each product row
+    follows from an earlier one: e*b = (e - 1)*b + b when e's lowest digit
+    is nonzero, else e*b = x*((e // p)*b); x shifts the digits up one place,
+    and the digit carried out at x^k is cancelled with the modulus. The ring
+    is a field, and the modulus irreducible, exactly when every nonzero
+    product row holds a 1; a's inverse is its column in row a.
+    """
+    k = len(modulus) - 1
+    q = p**k
+    add = [tuple(range(q))]
+    for a in range(1, q):
+        high = add[a // p]
+        add.append(tuple(high[b // p] * p + (a + b) % p for b in range(q)))
+    # x^k = -(m_0 + ... + m_{k-1} x^(k-1)): x*v is v's lower digits shifted up plus carry[top digit]
+    top = p ** (k - 1)
+    carry = [sum(-t * c % p * p**i for i, c in enumerate(modulus[:-1])) for t in range(p)]
+    mul = [(0,) * q]
+    for e in range(1, q):
+        if e % p:
+            mul.append(tuple(add[v][b] for b, v in enumerate(mul[e - 1])))
+        else:
+            mul.append(tuple(add[v % top * p][carry[v // top]] for v in mul[e // p]))
+    if any(1 not in row for row in mul[1:]):
+        return None
+    return tuple(add), tuple(mul), (0,) + tuple(row.index(1) for row in mul[1:])
+
+
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Exhaustive factor check for a monic polynomial over Z_p."""
-    degree = len(coeffs) - 1
-    if degree < 1:
-        return False
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys(p, d):
-            if not _poly_mod(coeffs, divisor, p):
-                return False
-    return True
+    """Whether a monic polynomial over Z_p, p prime, is irreducible; non-monic ones are outside the domain."""
+    return len(coeffs) > 1 and _field_tables(p, coeffs) is not None
 
 
 def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -83,14 +87,9 @@ def smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
 class FiniteField:
     """Arithmetic in GF(p^k) on integer-encoded elements.
 
-    Element e stands for the polynomial whose coefficients are the base-p
-    digits of e, least significant first. Addition and multiplication
-    tables are built eagerly, so lookups afterwards cannot fail silently.
-    Addition is digit-wise mod p. Each product row follows from an earlier
-    one: e*b = (e - 1)*b + b when the lowest digit of e is nonzero, and
-    e*b = x*((e // p)*b) otherwise. Multiplying by x shifts the digits up
-    one place, and the digit carried out at x^k is cancelled with the
-    monic modulus. The inverse of a is the column holding 1 in row a.
+    Element e is the polynomial with e's base-p digits as coefficients,
+    lowest first; _field_tables builds the tables eagerly, so lookups
+    afterwards cannot fail silently.
     """
 
     characteristic: int
@@ -107,40 +106,15 @@ class FiniteField:
             raise ValueError(f"modulus must be monic of degree {k}, got {self.modulus!r}")
         if any(not 0 <= c < p for c in self.modulus):
             raise ValueError(f"modulus coefficients must sit in 0..{p - 1}")
-        if not is_irreducible(self.modulus, p):
+        tables = _field_tables(p, self.modulus)
+        if tables is None:
             raise ValueError(f"modulus {self.modulus!r} is reducible over Z_{p}")
-        q = p**k
-        digits = [self._decode(e) for e in range(q)]
-        add = tuple(tuple(self._encode([(x + y) % p for x, y in zip(da, db)]) for db in digits) for da in digits)
-        # x^k = -(m_0 + ... + m_{k-1} x^(k-1)): x*v is v's lower digits shifted up plus carry[top digit]
-        top = p ** (k - 1)
-        carry = [self._encode([-t * c % p for c in self.modulus[:-1]]) for t in range(p)]
-        mul = [(0,) * q]
-        for e in range(1, q):
-            if e % p:
-                mul.append(tuple(add[v][b] for b, v in enumerate(mul[e - 1])))
-            else:
-                mul.append(tuple(add[v % top * p][carry[v // top]] for v in mul[e // p]))
-        object.__setattr__(self, "_add_table", add)
-        object.__setattr__(self, "_mul_table", tuple(mul))
-        object.__setattr__(self, "_inv_table", (0,) + tuple(row.index(1) for row in mul[1:]))
+        for name, table in zip(("_add_table", "_mul_table", "_inv_table"), tables):
+            object.__setattr__(self, name, table)
 
     @property
     def order(self) -> int:
         return self.characteristic**self.degree
-
-    def _decode(self, e: int) -> list[int]:
-        digits = []
-        for _ in range(self.degree):
-            digits.append(e % self.characteristic)
-            e //= self.characteristic
-        return digits
-
-    def _encode(self, coeffs) -> int:
-        value = 0
-        for c in reversed(list(coeffs) + [0] * (self.degree - len(coeffs))):
-            value = value * self.characteristic + c
-        return value
 
     def _check(self, *elements: int) -> None:
         for e in elements:

@@ -10,17 +10,21 @@ from oracles import brute_four_independent, dot_product_pg2_lines, lines_pairwis
 from pglatin import geometry
 from pglatin.binmat import ones
 from pglatin.geometry import GeometryError, find_four_independent, plane_check, subgeometry, validate_geometry
-from pglatin.planes import FiniteField, _monic_polys, build_pg2, is_irreducible, prime_power, smallest_irreducible
+from pglatin.planes import FiniteField, build_pg2, prime_power, smallest_irreducible
 from test_geometry_axioms import mutated_cases, near_pencil
+from test_planes import irreducible_polys
 
 ORDERS = [q for q in range(2, 33) if prime_power(q)]
 
 
-@pytest.mark.parametrize("q", ORDERS)
+@pytest.mark.parametrize("q", ORDERS + [49, 64])
 def test_field_tables_match_polynomial_products(q):
+    # the moduli come from the product oracle, since is_irreducible reads the tables under test;
+    # above build_field's bound, only the modulus that order's plane would use
     p, k = prime_power(q)
-    moduli = [m for m in _monic_polys(p, k) if is_irreducible(m, p)]
-    assert moduli
+    irreducible = irreducible_polys(p, k)
+    moduli = irreducible if q <= 32 else [smallest_irreducible(p, k)]
+    assert moduli and set(moduli) <= set(irreducible)
     for modulus in moduli:
         f = FiniteField(p, k, modulus)
         assert (f._add_table, f._mul_table, f._inv_table) == poly_product_field_tables(p, modulus), modulus

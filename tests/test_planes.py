@@ -1,3 +1,4 @@
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -16,6 +17,38 @@ from pglatin.planes import (
     prime_power,
     smallest_irreducible,
 )
+
+
+def monic_polys(p, degree):
+    """Every monic polynomial of the given degree over Z_p, as a coefficient tuple lowest power first."""
+    return [lower + (1,) for lower in product(range(p), repeat=degree)]
+
+
+def reducible_polys(p, degree):
+    """The monic polynomials of the given degree that are a product of two monic ones of positive degree.
+
+    An oracle for is_irreducible: schoolbook products of every pair of
+    factor degrees, no division.
+    """
+    found = set()
+    for d in range(1, degree // 2 + 1):
+        for f in monic_polys(p, d):
+            for g in monic_polys(p, degree - d):
+                out = [0] * (degree + 1)
+                for i, x in enumerate(f):
+                    for j, y in enumerate(g):
+                        out[i + j] = (out[i + j] + x * y) % p
+                found.add(tuple(out))
+    return found
+
+
+def irreducible_polys(p, degree):
+    reducible = reducible_polys(p, degree)
+    return [m for m in monic_polys(p, degree) if m not in reducible]
+
+
+# the degrees checked against the product oracle, per characteristic
+ORACLE_DEGREES = {2: 6, 3: 3, 5: 2, 7: 2}
 
 
 class TestPrimePower:
@@ -48,6 +81,26 @@ class TestIrreducibles:
     def test_known_irreducible(self):
         assert is_irreducible((1, 1, 1), 2)
         assert is_irreducible((1, 0, 1), 3)
+
+    def test_oracle_counts(self):
+        # Gauss's count of monic irreducibles, (1/n) * sum over d | n of mu(d) * p**(n/d), pins the oracle itself
+        counts = {p: [len(irreducible_polys(p, d)) for d in range(1, top + 1)] for p, top in ORACLE_DEGREES.items()}
+        assert counts == {2: [2, 1, 2, 3, 6, 9], 3: [3, 3, 8], 5: [5, 10], 7: [7, 21]}
+
+    @pytest.mark.parametrize("p", sorted(ORACLE_DEGREES))
+    def test_matches_product_oracle(self, p):
+        for degree in range(1, ORACLE_DEGREES[p] + 1):
+            reducible = reducible_polys(p, degree)
+            for m in monic_polys(p, degree):
+                assert is_irreducible(m, p) == (m not in reducible), (p, m)
+
+    @pytest.mark.parametrize("p", sorted(ORACLE_DEGREES))
+    def test_reducible_moduli_rejected(self, p):
+        for degree in range(2, ORACLE_DEGREES[p] + 1):
+            for m in sorted(reducible_polys(p, degree)):
+                with pytest.raises(ValueError) as caught:
+                    FiniteField(p, degree, m)
+                assert str(caught.value) == f"modulus {m!r} is reducible over Z_{p}"
 
     def test_smallest_choices(self):
         # non-leading coefficients read as a base-p number, smallest wins; the modulus fixes
