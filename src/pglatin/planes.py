@@ -71,7 +71,7 @@ def _field_tables(p: int, modulus: tuple[int, ...]):
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Whether a monic polynomial over Z_p, p prime, is irreducible; non-monic ones are outside the domain."""
+    """Whether a monic polynomial over Z_p, p prime (FiniteField's domain), is irreducible; non-monic is outside it."""
     return len(coeffs) > 1 and _field_tables(p, coeffs) is not None
 
 
